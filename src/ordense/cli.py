@@ -100,7 +100,7 @@ def _flatten(obj, prefix="") -> list:
     rows = []
     if isinstance(obj, dict):
         for k, v in obj.items():
-            rows.extend(_flatten(v, f"{prefix}{k}." if not isinstance(v, (dict, list)) else f"{prefix}{k}."))
+            rows.extend(_flatten(v, f"{prefix}{k}."))
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             rows.extend(_flatten(v, f"{prefix}{i}."))
@@ -279,7 +279,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ordense", description=__doc__)
     ap.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="evaluate delta_g(a, d)")

@@ -1,14 +1,24 @@
 """Empirical verification: sieve primes, compute orders, count residue classes.
 
 For every prime p up to x with p dividing neither numerator nor denominator
-of g, the multiplicative order ord_p(g) is computed by factoring p - 1 with
-a sieve and stripping prime factors l while g^((p-1)/l) = 1 (mod p).  The
-residual index is (p - 1) / ord.
+of g, the multiplicative order ord_p(g) is computed from the distinct prime
+factors l of p - 1: each l is stripped from the exponent while
+g^(E/l) = 1 (mod p), and the stripped factors make up the index
+(p - 1) / ord.
 
-The sieve runs in segments (default 2^24); a monolithic mode processes the
-whole range as one segment and refuses ranges that would not fit in memory.
-Factorizations of p - 1 are independent of g and are cached, so counting
-runs for several g over the same x pay the sieve cost once.
+The factor sieve runs in segments (default 2^24); a monolithic mode processes
+the whole range as one segment and refuses ranges that would not fit in
+memory.  It leaves, per segment, the primes, the flat list of their factors
+and the bounds of each prime's slice of that list.  Factorizations of p - 1
+are independent of g and are cached, so counting runs for several g over the
+same x pay the sieve cost once.
+
+The orders are computed by one numpy kernel over blocks of BLOCK primes of a
+segment, so its temporaries stay bounded at any segment size.  It reduces g
+mod p once (inverting a denominator by Fermat), then runs masked
+square-and-multiply rounds over the (p, l) pairs still being stripped.  Every
+residue is below 2^30, so products stay below 2^60 and the int64 arithmetic
+is exact.  sieve_orders, count_residues and count_joint all read its arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +45,12 @@ __all__ = [
 X_LIMIT = 10**9
 DEFAULT_SEGMENT = 1 << 24
 MONOLITHIC_LIMIT = 1 << 27
+# primes per kernel block: bounds the kernel's temporaries at any segment size
+BLOCK = 1 << 14
+_BITS = 30
+_MASK = (1 << _BITS) - 1
+# residues mod p <= X_LIMIT fit in 30 bits, so their products stay below 2^60 in int64
+assert X_LIMIT < 1 << _BITS
 
 
 @dataclass(frozen=True)
@@ -167,32 +183,84 @@ def sieve_orders(
 
     mode 'monolithic' sieves [2, x] in one piece (errors beyond the memory
     budget), 'segmented'/'auto' walk segments; the output is identical.
+    g may be any rational other than -1, 0, 1, of any size.
     """
+    g = _check_g(g)
+    for p, o in _orders(g, x, mode, segment_size):
+        for pi, oi, ii in zip(p.tolist(), o.tolist(), ((p - 1) // o).tolist()):
+            yield OrderRecord(pi, oi, ii)
+
+
+def _check_g(g) -> Fraction:
     g = Fraction(g)
     if g in (0, 1, -1):
         raise ValueError("g must avoid -1, 0, 1")
-    num, den = g.numerator, g.denominator
-    for p, o, idx in _iter_orders(num, den, x, mode, segment_size):
-        yield OrderRecord(p, o, idx)
+    return g
 
 
-def _iter_orders(num, den, x, mode, segment_size):
+def _orders(g: Fraction, x, mode, segment_size):
+    """(primes, orders) array pairs, one per kernel block, over p <= x with nu_p(g) = 0."""
     for pvals, fcat, bounds in _factored_chunks(x, segment_size, mode):
-        plist = pvals.tolist()
-        flat = fcat.tolist()
-        blist = bounds.tolist()
-        for i, p in enumerate(plist):
-            if num % p == 0 or den % p == 0:
-                continue
-            if den == 1:
-                gm = num % p
-            else:
-                gm = num * pow(den, p - 2, p) % p
-            o = p - 1
-            for ell in flat[blist[i] : blist[i + 1]]:
-                while o % ell == 0 and pow(gm, o // ell, p) == 1:
-                    o //= ell
-            yield p, o, (p - 1) // o
+        for i0 in range(0, len(pvals), BLOCK):
+            i1 = min(i0 + BLOCK, len(pvals))
+            lo, hi = bounds[i0], bounds[i1]
+            yield _block_orders(
+                g, pvals[i0:i1], fcat[lo:hi], np.diff(bounds[i0 : i1 + 1])
+            )
+
+
+def _block_orders(g: Fraction, p: np.ndarray, ells: np.ndarray, nfac: np.ndarray):
+    """ord_p(g) for a block of primes p; ells lists the distinct prime factors
+    of each p - 1 in turn, nfac[i] of them for p[i].
+
+    Every (p, ell) pair is stripped independently: while ell divides the
+    exponent E (starting at p - 1) and g^(E/ell) = 1 (mod p), E becomes E/ell.
+    The index (p - 1) / ord is the product of the stripped ells.
+    """
+    # a prime dividing g leaves gm = 0, which never strips; it is dropped last
+    gm = _residue(g.numerator, p)
+    keep = gm != 0
+    if g.denominator != 1:
+        dm = _residue(g.denominator, p)
+        keep &= dm != 0
+        gm = gm * _powmod(dm, p - 2, p) % p
+    owner = np.repeat(np.arange(len(p)), nfac)
+    pm, gp = p[owner], gm[owner]
+    exp = pm - 1
+    index = np.ones_like(p)
+    act = np.arange(len(ells))
+    while len(act):
+        ell = ells[act]
+        e = exp[act] // ell
+        hit = _powmod(gp[act], e, pm[act]) == 1
+        act = act[hit]
+        exp[act] = e[hit]
+        np.multiply.at(index, owner[act], ells[act])
+        act = act[exp[act] % ells[act] == 0]
+    p = p[keep]
+    return p, (p - 1) // index[keep]
+
+
+def _residue(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod p for an integer n of any size, by Horner over 30-bit limbs
+    (each step stays below 2^60 + 2^30, exact in int64)."""
+    a = abs(n)
+    r = np.zeros_like(p)
+    for shift in reversed(range(0, max(a.bit_length(), 1), _BITS)):
+        r = ((r << _BITS) + (a >> shift & _MASK)) % p
+    return -r % p if n < 0 else r
+
+
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod mod by right-to-left square-and-multiply;
+    base < mod < 2^30 keeps every product below 2^60."""
+    result = np.ones_like(base)
+    while True:
+        result = np.where(exp & 1, result * base % mod, result)
+        exp = exp >> 1
+        if not exp.any():
+            return result
+        base = base * base % mod
 
 
 def count_residues(
@@ -205,14 +273,13 @@ def count_residues(
     """Counts of ord_p(g) mod d over primes p <= x with nu_p(g) = 0."""
     if d < 1:
         raise ValueError("d must be positive")
-    g = Fraction(g)
-    counts = {a: 0 for a in range(d)}
-    considered = 0
-    for rec in sieve_orders(g, x, mode, segment_size):
-        counts[rec.ord % d] += 1
-        considered += 1
+    g = _check_g(g)
     excluded = _count_excluded(g, x)
-    return CountTable(x, d, None, counts, considered, excluded)
+    counts = np.zeros(d, dtype=np.int64)
+    for _, o in _orders(g, x, mode, segment_size):
+        counts += np.bincount(o % d, minlength=d)
+    considered = int(counts.sum())
+    return CountTable(x, d, None, dict(enumerate(counts.tolist())), considered, excluded)
 
 
 def count_joint(
@@ -223,17 +290,21 @@ def count_joint(
     mode: str = "auto",
     segment_size: int = DEFAULT_SEGMENT,
 ) -> CountTable:
-    """Joint counts keyed by (p mod d1, ord_p(g) mod d2)."""
+    """Joint counts keyed by (p mod d1, ord_p(g) mod d2); only keys that occur."""
     if d1 < 1 or d2 < 1:
         raise ValueError("moduli must be positive")
-    g = Fraction(g)
-    counts: dict = {}
-    considered = 0
-    for rec in sieve_orders(g, x, mode, segment_size):
-        key = (rec.p % d1, rec.ord % d2)
-        counts[key] = counts.get(key, 0) + 1
-        considered += 1
+    g = _check_g(g)
     excluded = _count_excluded(g, x)
+    # p and ord are below 2^30, so a larger modulus leaves their classes
+    # unchanged and both classes fit one int64 key
+    m1, m2 = min(d1, 1 << _BITS), min(d2, 1 << _BITS)
+    counts: dict = {}
+    for p, o in _orders(g, x, mode, segment_size):
+        keys, cnts = np.unique((p % m1) << _BITS | o % m2, return_counts=True)
+        for k, c in zip(keys.tolist(), cnts.tolist()):
+            key = (k >> _BITS, k & _MASK)
+            counts[key] = counts.get(key, 0) + c
+    considered = sum(counts.values())
     return CountTable(x, d2, d1, counts, considered, excluded)
 
 

@@ -104,6 +104,38 @@ def test_formats():
     assert row.split(",")[0] == "1"
 
 
+def test_format_bytes_pinned():
+    argv = ["density", "--g", "2", "--a", "0", "--d", "3", "--method", "closed"]
+    _, out, _ = _run(["--format", "csv", *argv])
+    assert out == (
+        "schema,value,error_bound,rigorous,method,exact\n"
+        "1,0.375,0,True,closed_form,3/8\n"
+    )
+    _, out, _ = _run(["--format", "text", *argv])
+    assert out == (
+        "schema = 1\nvalue = 0.375\nerror_bound = 0\nrigorous = True\n"
+        "method = closed_form\nexact = 3/8\n"
+    )
+    # nested lists of dicts flatten to dotted keys
+    _, out, _ = _run(["--format", "text", "verify", "--g", "2", "--d", "3", "--x", "20", "--d1", "3"])
+    assert out.startswith(
+        "schema = 1\ng = 2\nd1 = 3\nd = 3\nx = 20\nprimes_considered = 7\n"
+        "classes.0.p_class = 0\nclasses.0.ord_class = 2\nclasses.0.count = 1\n"
+        "classes.0.frequency = 0.14285714285714285\nclasses.1.p_class = 1\n"
+    )
+
+
+def test_verify_rejects_oversized_g_before_sieving(monkeypatch):
+    import ordense.empirical as emp
+
+    def no_sieve(*args):
+        raise AssertionError("sieved before validating g")
+
+    monkeypatch.setattr(emp, "_factored_chunks", no_sieve)
+    code, _, err = _run(["verify", "--g", str(2**70 + 1), "--d", "3", "--x", "1000000"])
+    assert code == 2 and "factorize" in err
+
+
 def test_env_pmax_override(monkeypatch):
     monkeypatch.setenv("ORDENSE_PMAX", "250000")
     code, out, _ = _run(["constants", "--q", "3"])

@@ -82,6 +82,11 @@ def test_count_joint_example_and_marginals():
     assert marg == tab.counts
 
 
+def test_count_joint_huge_moduli():
+    jt = count_joint(2, 2**70, 2**64 + 1, 20)
+    assert jt.counts == {(p, o): 1 for p, o in HAND_ORDERS_G2.items()}
+
+
 def test_joint_zero_class_forces_one_mod_q():
     jt = count_joint(2, 3, 3, 50_000)
     for (a1, a2), c in jt.counts.items():
@@ -112,6 +117,123 @@ def test_g_validation():
         list(sieve_orders(1, 100))
     with pytest.raises(ValueError):
         list(sieve_orders(0, 100))
+    with pytest.raises(ValueError):
+        count_residues(-1, 3, 100)
+    with pytest.raises(ValueError):
+        count_joint(1, 3, 3, 100)
+
+
+def test_oversized_g_rejected_before_sieving(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved before validating g")
+
+    monkeypatch.setattr(emp, "_factored_chunks", no_sieve)
+    with pytest.raises(ValueError, match="factorize"):
+        count_residues(2**70 + 1, 3, 10**6)
+    with pytest.raises(ValueError, match="factorize"):
+        count_joint(Fraction(1, 2**64), 3, 3, 10**6)
+
+
+def _scalar_orders(g, x, mode="auto", segment_size=emp.DEFAULT_SEGMENT):
+    """Reference (p, ord, index) triples: one Python pow per prime and factor."""
+    num, den = g.numerator, g.denominator
+    for pvals, fcat, bounds in emp._factored_chunks(x, segment_size, mode):
+        plist = pvals.tolist()
+        flat = fcat.tolist()
+        blist = bounds.tolist()
+        for i, p in enumerate(plist):
+            if num % p == 0 or den % p == 0:
+                continue
+            if den == 1:
+                gm = num % p
+            else:
+                gm = num * pow(den, p - 2, p) % p
+            o = p - 1
+            for ell in flat[blist[i] : blist[i + 1]]:
+                while o % ell == 0 and pow(gm, o // ell, p) == 1:
+                    o //= ell
+            yield p, o, (p - 1) // o
+
+
+ORACLE_X = 300_000
+ORACLE_G = [2, 3, -3, 4, 8, Fraction(1, 2), Fraction(9, 2), Fraction(-3, 4), 5832]
+# beyond factorize's range: only sieve_orders accepts these
+ORACLE_BIG_G = [2**70 + 1, Fraction(-(2**70 + 1), 3**41)]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return {g: list(_scalar_orders(Fraction(g), ORACLE_X)) for g in ORACLE_G + ORACLE_BIG_G}
+
+
+# many segments each inside one block; odd segments cut into ragged blocks;
+# one segment of two blocks, the second partial
+@pytest.mark.parametrize(
+    "mode,size,block",
+    [
+        ("segmented", 1 << 12, emp.BLOCK),
+        ("segmented", 100_003, 1000),
+        ("monolithic", emp.DEFAULT_SEGMENT, emp.BLOCK),
+    ],
+)
+def test_kernel_matches_scalar_oracle(oracle, monkeypatch, mode, size, block):
+    monkeypatch.setattr(emp, "BLOCK", block)
+    for g, ref in oracle.items():
+        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X, mode, size)]
+        assert recs == ref, g
+        if g in ORACLE_BIG_G:
+            continue
+        tab = count_residues(g, 12, ORACLE_X, mode, size)
+        want = {a: 0 for a in range(12)}
+        for _, o, _ in ref:
+            want[o % 12] += 1
+        assert tab.counts == want, g
+        assert tab.primes_considered == len(ref)
+        jt = count_joint(g, 4, 3, ORACLE_X, mode, size)
+        want = {}
+        for p, o, _ in ref:
+            want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
+        assert jt.counts == want, g
+
+
+# count_residues(g, 12, 10**6) and count_joint(g, 4, 3, 10**6) as computed
+# by the per-prime pow loop; 78497 primes considered and p = 2 (or 3) excluded
+PINNED_1E6 = {
+    "2": (
+        [12240, 1486, 2460, 7023, 12754, 2080, 8612, 961, 7670, 1576, 11814, 9821],
+        {(1, 0): 14693, (1, 1): 14779, (1, 2): 9703, (3, 0): 14758, (3, 1): 12236, (3, 2): 12328},
+    ),
+    "3": (
+        [4908, 1005, 3250, 2449, 19116, 9640, 19666, 1019, 2074, 2434, 3283, 9653],
+        {(1, 0): 14672, (1, 1): 20738, (1, 2): 3765, (2, 1): 1, (3, 0): 14785, (3, 1): 3684,
+         (3, 2): 20852},
+    ),
+    "-3": (
+        [4908, 1620, 2023, 9733, 19116, 1657, 4883, 1631, 2074, 9933, 19293, 1626],
+        {(1, 0): 14672, (1, 1): 20807, (1, 2): 3696, (2, 1): 1, (3, 0): 14785, (3, 1): 20852,
+         (3, 2): 3684},
+    ),
+    "4": (
+        [2454, 2452, 11570, 8640, 2893, 11892, 9786, 2455, 1184, 8571, 4777, 11823],
+        {(1, 0): 14693, (1, 1): 8838, (1, 2): 15644, (3, 0): 14758, (3, 1): 3739, (3, 2): 20825},
+    ),
+    "8": (
+        [4070, 3794, 5387, 513, 16841, 4462, 2890, 1474, 11753, 2333, 14609, 10371],
+        {(1, 0): 4874, (1, 1): 19617, (1, 2): 14684, (3, 0): 4932, (3, 1): 17101, (3, 2): 17289},
+    ),
+    "1/2": (
+        [12240, 1486, 2460, 7023, 12754, 2080, 8612, 961, 7670, 1576, 11814, 9821],
+        {(1, 0): 14693, (1, 1): 14779, (1, 2): 9703, (3, 0): 14758, (3, 1): 12236, (3, 2): 12328},
+    ),
+}
+
+
+def test_count_tables_pinned_at_1e6():
+    for g, (residues, joint) in PINNED_1E6.items():
+        tab = count_residues(Fraction(g), 12, 10**6)
+        assert tab.counts == dict(enumerate(residues)), g
+        assert (tab.primes_considered, tab.excluded) == (78497, 1), g
+        assert count_joint(Fraction(g), 4, 3, 10**6).counts == joint, g
 
 
 def _brute_census(q, x):
