@@ -31,7 +31,6 @@ from .characters import (
 )
 from .decomp import GDecomposition, decompose, is_generic, n_r
 from .density import (
-    DensitySpec,
     DensityValue,
     TruncationConfig,
     zero_class_series,

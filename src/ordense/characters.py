@@ -20,6 +20,7 @@ bound: each omitted factor differs from 1 by at most 2.05/p^2, and
 sum_{p>P} 1/p^2 <= 2.52/(P log P) by partial summation against
 pi(t) <= 1.26 t/log t.  Products are accumulated in fixed-size chunks in a
 fixed order, so results are bit-identical however the work is scheduled.
+The primes come from the package's one sieve, ordense.sieve.primes_upto.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import factorize
+# bound here and called through this module global, so a wrapper installed
+# on ordense.characters.primes_upto sees every Euler product's sieve call
+from .sieve import primes_upto
 
 __all__ = [
     "DirichletCharacter",
@@ -42,28 +46,10 @@ __all__ = [
     "a_chi",
     "c_chi",
     "artin_constant",
-    "primes_upto",
 ]
 
 _TAIL_CONST = 5.2  # 2 * 1.021 * 2.52, see module docstring
 _CHUNK = 1 << 16
-
-_prime_cache: dict[str, np.ndarray] = {}
-
-
-def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (cached, grow-only)."""
-    cached = _prime_cache.get("primes")
-    if cached is None or _prime_cache["limit"] < limit:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        cached = np.flatnonzero(sieve).astype(np.int64)
-        _prime_cache["primes"] = cached
-        _prime_cache["limit"] = limit
-    return cached[: int(np.searchsorted(cached, limit, side="right"))]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .arith import factorize, is_prime, parse_rational
@@ -33,7 +34,7 @@ from .density import (
     evaluate_density,
 )
 from .empirical import census_exceptional, compare, count_joint
-from .kummer import UNSUPPORTED, CgQuery, entanglement_coefficient, kummer_degree
+from .kummer import UNSUPPORTED, entanglement_coefficient, kummer_degree
 
 SCHEMA = 1
 
@@ -226,11 +227,7 @@ def _cmd_decompose(args, cfg) -> dict:
 
 def _cmd_cg(args, cfg) -> dict:
     g = _parse_g(args.g)
-    try:
-        query = CgQuery(args.b, args.f, args.v)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    c = entanglement_coefficient(decompose(g), query.b, query.f, query.v)
+    c = entanglement_coefficient(decompose(g), args.b, args.f, args.v)
     if c is UNSUPPORTED:
         return {"g": args.g, "b": args.b, "f": args.f, "v": args.v, "cg": "unsupported"}
     return {"g": args.g, "b": args.b, "f": args.f, "v": args.v, "cg": c}
@@ -331,12 +328,14 @@ def _config_from(args) -> TruncationConfig:
     pmax = getattr(args, "pmax", None)
     if pmax is None and env_pmax is not None:
         pmax = int(env_pmax)
-    return TruncationConfig(
-        t_max=getattr(args, "tmax", None) or DEFAULT_CONFIG.t_max,
-        n_max=getattr(args, "nmax", None) or DEFAULT_CONFIG.n_max,
-        v_max=getattr(args, "vmax", None) or DEFAULT_CONFIG.v_max,
-        prime_cutoff=pmax or DEFAULT_CONFIG.prime_cutoff,
-    )
+    given = {
+        "t_max": getattr(args, "tmax", None),
+        "n_max": getattr(args, "nmax", None),
+        "v_max": getattr(args, "vmax", None),
+        "prime_cutoff": pmax,
+    }
+    # an explicit 0 reaches TruncationConfig's check instead of the default
+    return replace(DEFAULT_CONFIG, **{k: v for k, v in given.items() if v is not None})
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:

@@ -20,6 +20,11 @@ the rigorous Euler tail bounds of their constants.
 For composite d that is not an odd prime power some entanglement
 coefficients cannot be decided; the full series then returns an interval
 [lo, hi] instead of a point value, never a guess.
+
+The series read their spf/phi/mu tables from ordense.sieve.tables and their
+Kummer degrees from ordense.kummer, where the correction eps is defined once
+and coded as the integer 2*eps.  The (t, n) double series keeps the one
+inline copy of that code (see the comment in delta_general_series).
 """
 
 from __future__ import annotations
@@ -28,17 +33,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import discriminant_sqrt, euler_phi, factorize, is_prime, kronecker, nu2
+from .arith import discriminant_sqrt, euler_phi, factorize, is_prime, kronecker, nu2, valuation
 from .characters import CharacterGroup, a_chi, c_chi, character_group
 from .decomp import GDecomposition, decompose, n_r
 from .kummer import UNSUPPORTED, entanglement_coefficient, kummer_degree
+from .sieve import tables
 
 __all__ = [
     "TruncationConfig",
     "DensityValue",
-    "DensitySpec",
     "delta_avg",
     "delta_g_zero_class",
     "zero_class_series",
@@ -102,56 +105,8 @@ class DensityValue:
             raise ValueError("exact rational does not match value")
 
 
-@dataclass(frozen=True)
-class DensitySpec:
-    """A density query: ord_p(g) = a (mod d), optionally on a stratum p = a1 (mod d1)."""
-
-    g: Fraction
-    a: int
-    d: int
-    a1: int | None = None
-    d1: int | None = None
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("modulus d must be at least 2")
-        if (self.a1 is None) != (self.d1 is None):
-            raise ValueError("joint stratum needs both a1 and d1")
-
-
 # ---------------------------------------------------------------------------
-# sieve tables shared by the series evaluators
-
-_table_cache: dict[str, tuple[int, list[int], list[int], list[int]]] = {}
-
-
-def _tables(limit: int) -> tuple[list[int], list[int], list[int]]:
-    """(spf, phi, mu) lists up to limit (cached, grow-only).
-
-    Built with numpy sieves, returned as plain lists: the evaluators do
-    scalar lookups in tight loops where list indexing is faster.
-    """
-    hit = _table_cache.get("t")
-    if hit is not None and hit[0] >= limit:
-        return hit[1], hit[2], hit[3]
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    rest = spf == 0
-    spf[rest] = np.arange(limit + 1)[rest]
-    spf[:2] = (0, 1)
-    primes = np.flatnonzero(spf == np.arange(limit + 1))[2:] if limit >= 2 else []
-    phi = np.arange(limit + 1, dtype=np.int64)
-    mu = np.ones(limit + 1, dtype=np.int64)
-    for p in primes:
-        phi[p::p] -= phi[p::p] // p
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    out = (limit, spf.tolist(), phi.tolist(), mu.tolist())
-    _table_cache["t"] = out
-    return out[1], out[2], out[3]
+# helpers
 
 
 def _distinct_primes(v: int, spf: list[int]) -> list[int]:
@@ -171,14 +126,6 @@ def _require_odd_prime(q: int):
         raise ValueError(f"{q} is not prime")
 
 
-def _nu_q(h: int, q: int) -> int:
-    v = 0
-    while h % q == 0:
-        h //= q
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # exact closed forms at level q
 
@@ -186,7 +133,7 @@ def _nu_q(h: int, q: int) -> int:
 def delta_g_zero_class(dec: GDecomposition, q: int) -> DensityValue:
     """delta_g(0, q) = q^(1 - nu_q(h)) / (q^2 - 1), exact."""
     _require_odd_prime(q)
-    val = Fraction(q, q * q - 1) / q ** _nu_q(dec.h, q)
+    val = Fraction(q, q * q - 1) / q ** valuation(q, dec.h)
     return DensityValue(float(val), 0.0, True, "closed_form", exact=val)
 
 
@@ -199,7 +146,7 @@ def delta_joint_one_mod_q(dec: GDecomposition, q: int, a: int) -> DensityValue:
     _require_odd_prime(q)
     if a % q == 0:
         raise ValueError("q divides a: the stratum equals the zero class")
-    nu = _nu_q(dec.h, q)
+    nu = valuation(q, dec.h)
     val = (1 - Fraction(q, (q + 1) * q**nu)) / (q - 1) ** 2
     return DensityValue(float(val), 0.0, True, "closed_form", exact=val)
 
@@ -214,7 +161,7 @@ def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
     _require_odd_prime(q)
     total = Fraction(1, q - 1)
     floor = Fraction(1, 10**18)
-    nu = _nu_q(dec.h, q)
+    nu = valuation(q, dec.h)
     j = 1
     while True:
         term = Fraction(1, kummer_degree(dec, q**j, q**j)) - Fraction(
@@ -230,67 +177,32 @@ def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
 # ---------------------------------------------------------------------------
 # the level-q v-series evaluators
 
-_level_q_cache: dict[tuple, tuple[list[float], list[float], list[float]]] = {}
+_level_q_cache: dict[tuple, tuple[list[float], list[float]]] = {}
 
 
 def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
-    """Per-residue-class accumulators of the three level-q v-series.
+    """Per-residue-class accumulators of the two level-q v-series.
 
     For every class r mod q these accumulate, over v <= v_max coprime to q,
     the Moebius-weighted divisor counts M_r(v) = sum_{t|v, t=r (q)} mu(v/t)
-    against three weights: 1/[K(qv,v):Q] (acc1), the same restricted to v
-    with sqrt(q*) in K(v,v) (acc2), and the equivalent smooth weight
-    2/[K(qv,v):Q] - 2/((q-1)[K(v,v):Q]) (acc3, a cross-check of acc2).
+    against the weight 1/[K(qv,v):Q] (acc1), and against the same weight
+    restricted to v with sqrt(q*) in K(v,v) (acc2).
     """
     key = (dec.g, q, v_max)
     hit = _level_q_cache.get(key)
     if hit is not None:
         return hit
-    spf, phi, _ = _tables(v_max)
-    h, m = dec.h, dec.m
+    spf, phi, _ = tables(v_max)
     neg = dec.sign < 0
     hc2 = dec.hc2
-    n1 = n_r(dec, 1)  # n_q = n_1 since nu2(q) = nu2(1)
     qdivD = dec.disc_g0 % q == 0
-    nq_div = n1 // math.gcd(n1, q)  # n_1 | qv  iff  this divides v
-    m_div = m // math.gcd(m, q)
-    n1q = n1 // q if qdivD else 0
+    n1q = n_r(dec, 1) // q if qdivD else 0
     acc1 = [0.0] * q
     acc2 = [0.0] * q
-    acc3 = [0.0] * q
     for v in range(1, v_max + 1):
         if v % q == 0:
             continue
-        phiv = phi[v]
-        gh = math.gcd(v, h)
-        # eps(qv, v): the root index is v, the ratio q is odd
-        if neg:
-            if v % m_div == 0:
-                num1, den1 = 2, 1
-            elif v % 2 == 0 and v % hc2 != 0:
-                num1, den1 = 1, 2
-            else:
-                num1, den1 = 1, 1
-        else:
-            num1, den1 = (2, 1) if v % nq_div == 0 else (1, 1)
-        deg_qv, rem = divmod((q - 1) * phiv * v * den1, num1 * gh)
-        if rem:
-            raise AssertionError(f"non-integral degree at qv={q * v}")
-        # eps(v, v): ratio 1, same shape with kr = v
-        if neg:
-            if v % m == 0:
-                num2, den2 = 2, 1
-            elif v % 2 == 0 and v % hc2 != 0:
-                num2, den2 = 1, 2
-            else:
-                num2, den2 = 1, 1
-        else:
-            num2, den2 = (2, 1) if v % n1 == 0 else (1, 1)
-        deg_vv, rem = divmod(phiv * v * den2, num2 * gh)
-        if rem:
-            raise AssertionError(f"non-integral degree at v={v}")
-        w1 = 1.0 / deg_qv
-        w3 = 2.0 / deg_qv - 2.0 / ((q - 1) * deg_vv)
+        w1 = 1.0 / kummer_degree(dec, q * v, v, (q - 1) * phi[v])
         has_sqrt = (
             qdivD
             and v % n1q == 0
@@ -306,10 +218,9 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
             cnt = counts[r]
             if cnt:
                 acc1[r] += cnt * w1
-                acc3[r] += cnt * w3
                 if has_sqrt:
                     acc2[r] += cnt * w1
-    out = (acc1, acc2, acc3)
+    out = (acc1, acc2)
     _level_q_cache[key] = out
     return out
 
@@ -333,7 +244,7 @@ def delta_level_q_series(
     a %= q
     if a == 0:
         raise ValueError("series form needs q coprime to a; use the zero-class forms")
-    acc1, acc2, _ = _level_q_accumulators(dec, q, cfg.v_max)
+    acc1, acc2 = _level_q_accumulators(dec, q, cfg.v_max)
     nul = delta_joint_one_mod_q(dec, q, a).exact
     base = 1.0 / (q - 1) + float(nul)
     cls = (-pow(a, -1, q)) % q
@@ -537,7 +448,7 @@ def delta_avg(
         return DensityValue(val, err / (q - 1) ** 2 / scale + 1e-13, True, "char_form")
     # truncated double series, no g anywhere
     limit = max(cfg.t_max, cfg.n_max)
-    _, phi, mu = _tables(limit)
+    _, phi, mu = tables(limit)
     phid = euler_phi(d)
     ns = []
     for n in range(1, cfg.n_max + 1):
@@ -624,7 +535,7 @@ def delta_general_series(
         raise ValueError("modulus must be at least 2")
     a %= d
     limit = max(cfg.t_max, cfg.n_max)
-    spf, phi, mu = _tables(limit)
+    spf, phi, mu = tables(limit)
     h = dec.h
     neg = dec.sign < 0
     hc2 = dec.hc2
@@ -663,15 +574,18 @@ def delta_general_series(
             v = n * t
             g2 = math.gcd(ell, t)
             philt = phil * phit * g2 // phi[g2]
-            if not neg or not zodd:
-                num, den = (2, 1) if (ell * t) % nrz == 0 else (1, 1)
-            elif (ell * t) % nrz == 0:
-                num, den = 2, 1
-            elif v % 2 == 0 and v % hc2 != 0:
-                num, den = 1, 2
+            # deg = kummer_degree(dec, ell * t, v, philt), with the kernel's
+            # 2*eps (kummer._eps2 at r = z) copied inline: a kernel call per
+            # pair made this loop 1.3-2x slower at T = N = 300, d = 6.  The
+            # copy is pinned to kummer_degree by
+            # test_general_series_eps_copy_matches_kernel.
+            if (ell * t) % nrz == 0:
+                eps2 = 4
+            elif neg and zodd and v % 2 == 0 and v % hc2 != 0:
+                eps2 = 1
             else:
-                num, den = 1, 1
-            deg, rem = divmod(philt * v * den, num * math.gcd(v, h))
+                eps2 = 2
+            deg, rem = divmod(2 * philt * v, eps2 * math.gcd(v, h))
             if rem:
                 raise AssertionError(f"non-integral degree at t={t}, n={n}")
             term = mun / deg

@@ -6,12 +6,13 @@ factors l of p - 1: each l is stripped from the exponent while
 g^(E/l) = 1 (mod p), and the stripped factors make up the index
 (p - 1) / ord.
 
-The factor sieve runs in segments (default 2^24); a monolithic mode processes
-the whole range as one segment and refuses ranges that would not fit in
-memory.  It leaves, per segment, the primes, the flat list of their factors
-and the bounds of each prime's slice of that list.  Factorizations of p - 1
-are independent of g and are cached, so counting runs for several g over the
-same x pay the sieve cost once.
+The factor sieve runs in segments (default 2^24; a segment_size >= x sieves
+the whole range as one segment) and refuses segments that would not fit in
+memory.  Its base primes, like the census's primes, come from the package's
+one sieve, ordense.sieve.primes_upto.  It leaves, per segment, the primes,
+the flat list of their factors and the bounds of each prime's slice of that
+list.  Factorizations of p - 1 are independent of g and are cached, so
+counting runs for several g over the same x pay the sieve cost once.
 
 The orders are computed by one numpy kernel over blocks of BLOCK primes of a
 segment, so its temporaries stay bounded at any segment size.  It reduces g
@@ -30,6 +31,9 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
+from .arith import factorize, is_prime
+from .sieve import primes_upto
+
 __all__ = [
     "OrderRecord",
     "CountTable",
@@ -44,7 +48,8 @@ __all__ = [
 
 X_LIMIT = 10**9
 DEFAULT_SEGMENT = 1 << 24
-MONOLITHIC_LIMIT = 1 << 27
+# largest segment, in numbers sieved at once, that fits the memory budget
+SEGMENT_LIMIT = 1 << 27
 # primes per kernel block: bounds the kernel's temporaries at any segment size
 BLOCK = 1 << 14
 _BITS = 30
@@ -77,15 +82,6 @@ class CountTable:
         return self.counts.get(key, 0) / self.primes_considered
 
 
-def _simple_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
-
-
 def _segment_factored(lo: int, hi: int, base: np.ndarray):
     """Primes p in [lo, hi) with the distinct prime factors of each p - 1.
 
@@ -96,15 +92,15 @@ def _segment_factored(lo: int, hi: int, base: np.ndarray):
     """
     wlo = lo - 1
     n = hi - wlo
-    is_prime = np.ones(n, dtype=bool)
+    prime = np.ones(n, dtype=bool)
     for s in base:
         s = int(s)
         if s * s >= hi:
             break
         start = max(s * s, ((wlo + s - 1) // s) * s)
-        is_prime[start - wlo :: s] = False
-    is_prime[: max(0, 2 - wlo)] = False
-    offsets = np.flatnonzero(is_prime)
+        prime[start - wlo :: s] = False
+    prime[: max(0, 2 - wlo)] = False
+    offsets = np.flatnonzero(prime)
     pvals = offsets + wlo
     pvals = pvals[pvals >= lo]
     if len(pvals) == 0:
@@ -147,21 +143,21 @@ def _segment_factored(lo: int, hi: int, base: np.ndarray):
 _factored_cache: dict = {"key": None, "chunks": None}
 
 
-def _factored_chunks(x: int, segment_size: int, mode: str):
+def _factored_chunks(x: int, segment_size: int):
     """Cached list of (primes, factor lists) segment chunks covering [2, x]."""
     if x > X_LIMIT:
         raise ValueError(f"x beyond the supported range {X_LIMIT}")
-    if mode == "monolithic":
-        if x > MONOLITHIC_LIMIT:
-            raise ValueError(
-                f"x = {x} exceeds the monolithic memory budget "
-                f"({MONOLITHIC_LIMIT}); use segmented mode"
-            )
-        segment_size = x
+    if segment_size < 1:
+        raise ValueError("segment_size must be positive")
+    if min(segment_size, x) > SEGMENT_LIMIT:
+        raise ValueError(
+            f"a segment of {min(segment_size, x)} numbers exceeds the memory "
+            f"budget ({SEGMENT_LIMIT}); use a smaller segment_size"
+        )
     key = (x, segment_size)
     if _factored_cache["key"] == key:
         return _factored_cache["chunks"]
-    base = _simple_primes(math.isqrt(x) + 1)
+    base = primes_upto(math.isqrt(x) + 1)
     chunks = []
     lo = 2
     while lo <= x:
@@ -176,17 +172,15 @@ def _factored_chunks(x: int, segment_size: int, mode: str):
 def sieve_orders(
     g: Fraction | int,
     x: int,
-    mode: str = "auto",
     segment_size: int = DEFAULT_SEGMENT,
 ) -> Iterator[OrderRecord]:
     """Stream one OrderRecord per prime p <= x with nu_p(g) = 0.
 
-    mode 'monolithic' sieves [2, x] in one piece (errors beyond the memory
-    budget), 'segmented'/'auto' walk segments; the output is identical.
-    g may be any rational other than -1, 0, 1, of any size.
+    The output does not depend on segment_size.  g may be any rational other
+    than -1, 0, 1, of any size.
     """
     g = _check_g(g)
-    for p, o in _orders(g, x, mode, segment_size):
+    for p, o in _orders(g, x, segment_size):
         for pi, oi, ii in zip(p.tolist(), o.tolist(), ((p - 1) // o).tolist()):
             yield OrderRecord(pi, oi, ii)
 
@@ -198,9 +192,9 @@ def _check_g(g) -> Fraction:
     return g
 
 
-def _orders(g: Fraction, x, mode, segment_size):
+def _orders(g: Fraction, x, segment_size):
     """(primes, orders) array pairs, one per kernel block, over p <= x with nu_p(g) = 0."""
-    for pvals, fcat, bounds in _factored_chunks(x, segment_size, mode):
+    for pvals, fcat, bounds in _factored_chunks(x, segment_size):
         for i0 in range(0, len(pvals), BLOCK):
             i1 = min(i0 + BLOCK, len(pvals))
             lo, hi = bounds[i0], bounds[i1]
@@ -267,7 +261,6 @@ def count_residues(
     g: Fraction | int,
     d: int,
     x: int,
-    mode: str = "auto",
     segment_size: int = DEFAULT_SEGMENT,
 ) -> CountTable:
     """Counts of ord_p(g) mod d over primes p <= x with nu_p(g) = 0."""
@@ -276,7 +269,7 @@ def count_residues(
     g = _check_g(g)
     excluded = _count_excluded(g, x)
     counts = np.zeros(d, dtype=np.int64)
-    for _, o in _orders(g, x, mode, segment_size):
+    for _, o in _orders(g, x, segment_size):
         counts += np.bincount(o % d, minlength=d)
     considered = int(counts.sum())
     return CountTable(x, d, None, dict(enumerate(counts.tolist())), considered, excluded)
@@ -287,7 +280,6 @@ def count_joint(
     d1: int,
     d2: int,
     x: int,
-    mode: str = "auto",
     segment_size: int = DEFAULT_SEGMENT,
 ) -> CountTable:
     """Joint counts keyed by (p mod d1, ord_p(g) mod d2); only keys that occur."""
@@ -299,7 +291,7 @@ def count_joint(
     # unchanged and both classes fit one int64 key
     m1, m2 = min(d1, 1 << _BITS), min(d2, 1 << _BITS)
     counts: dict = {}
-    for p, o in _orders(g, x, mode, segment_size):
+    for p, o in _orders(g, x, segment_size):
         keys, cnts = np.unique((p % m1) << _BITS | o % m2, return_counts=True)
         for k, c in zip(keys.tolist(), cnts.tolist()):
             key = (k >> _BITS, k & _MASK)
@@ -309,8 +301,6 @@ def count_joint(
 
 
 def _count_excluded(g: Fraction, x: int) -> int:
-    from .arith import factorize
-
     bad = set(factorize(abs(g.numerator)).primes) | set(factorize(g.denominator).primes)
     return sum(1 for p in bad if p <= x)
 
@@ -384,14 +374,12 @@ def census_exceptional(q: int, x: int) -> int:
     perfect squares count vacuously.  Marks, for each prime p = 1 (mod q),
     the g with odd nu_p(g) and counts the unmarked rest.
     """
-    from .arith import is_prime
-
     if q % 2 == 0 or not is_prime(q):
         raise ValueError("q must be an odd prime")
     if x < 1 or x > 10**8:
         raise ValueError("census supports 1 <= x <= 1e8")
     excluded = np.zeros(x + 1, dtype=bool)
-    primes = _simple_primes(x)
+    primes = primes_upto(x)
     for p in primes[primes % q == 1]:
         p = int(p)
         pk = p

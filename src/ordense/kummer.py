@@ -8,6 +8,11 @@ obvious cyclotomic subfield, which is what decides the coefficients
 c_g(b, f, v) in {0, 1}: does the automorphism zeta_f -> zeta_f^b act
 trivially on that intersection?
 
+eps is defined once, in _eps2, coded as the integer 2*eps in {1, 2, 4} so
+every degree is computed with integers only; epsilon returns it as a
+Fraction.  delta_general_series keeps one inline copy of it in its pair loop
+(see the comment there), pinned to kummer_degree by the tests.
+
 The intersection is the plain cyclotomic Q(zeta_gcd(f,v)) or a quadratic
 extension of it.  When the quadratic jump is attributable to a single odd
 prime q (f a power of q), the extension is Q(sqrt(q*)) with
@@ -19,15 +24,12 @@ UNSUPPORTED is returned instead of a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi, factorize, is_prime, kronecker, nu2
+from .arith import euler_phi, factorize, is_prime, kronecker
 from .decomp import GDecomposition, n_r
 
 __all__ = [
-    "DegreeQuery",
-    "CgQuery",
     "UNSUPPORTED",
     "epsilon",
     "kummer_degree",
@@ -57,67 +59,41 @@ class _Unsupported:
 UNSUPPORTED = _Unsupported()
 
 
-@dataclass(frozen=True)
-class DegreeQuery:
-    """Cyclotomic level kr and root index k with k | kr."""
-
-    kr: int
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.kr < 1 or self.kr % self.k:
-            raise ValueError(f"need k | kr, got kr={self.kr}, k={self.k}")
-
-
-@dataclass(frozen=True)
-class CgQuery:
-    """Arguments (b, f, v) of an entanglement coefficient, gcd(b, f) = 1."""
-
-    b: int
-    f: int
-    v: int
-
-    def __post_init__(self):
-        if self.f < 1 or self.v < 1:
-            raise ValueError("f and v must be positive")
-        if math.gcd(self.b, self.f) != 1:
-            raise ValueError(f"need gcd(b, f) = 1, got b={self.b}, f={self.f}")
+def _eps2(dec: GDecomposition, kr: int, k: int) -> int:
+    """2 * eps(kr, k) in {1, 2, 4}; requires k | kr."""
+    if k < 1 or kr < 1 or kr % k:
+        raise ValueError(f"need k | kr, got kr={kr}, k={k}")
+    r = kr // k
+    if kr % n_r(dec, r) == 0:
+        return 4
+    if dec.sign < 0 and r % 2 and k % 2 == 0 and k % dec.hc2:
+        return 1
+    return 2
 
 
 def epsilon(dec: GDecomposition, kr: int, k: int) -> Fraction:
     """Degree correction eps(kr, k) in {1/2, 1, 2}; requires k | kr."""
-    if k < 1 or kr < 1 or kr % k:
-        raise ValueError(f"need k | kr, got kr={kr}, k={k}")
-    r = kr // k
-    nr = n_r(dec, r)
-    if dec.sign > 0 or r % 2 == 0:
-        return Fraction(2) if kr % nr == 0 else Fraction(1)
-    # g < 0 with r odd
-    if kr % nr == 0:
-        return Fraction(2)
-    if k % 2 == 0 and k % dec.hc2 != 0:
-        return Fraction(1, 2)
-    return Fraction(1)
+    return Fraction(_eps2(dec, kr, k), 2)
 
 
 def kummer_degree(dec: GDecomposition, kr: int, k: int, phi_kr: int | None = None) -> int:
     """[Q(zeta_kr, g^(1/k)) : Q] = phi(kr) * k / (eps(kr,k) * gcd(k, h))."""
-    eps = epsilon(dec, kr, k)
+    eps2 = _eps2(dec, kr, k)
     if phi_kr is None:
         phi_kr = euler_phi(kr)
-    deg = Fraction(phi_kr * k) / (eps * math.gcd(k, dec.h))
-    if deg.denominator != 1 or deg <= 0:
-        raise AssertionError(f"non-integral Kummer degree {deg} at kr={kr}, k={k}")
-    return int(deg)
+    deg, rem = divmod(2 * phi_kr * k, eps2 * math.gcd(k, dec.h))
+    if rem or deg <= 0:
+        raise AssertionError(f"non-integral Kummer degree at kr={kr}, k={k}")
+    return deg
 
 
 def intersection_degree(dec: GDecomposition, f: int, v: int) -> int:
     """[Q(zeta_f) ∩ K(v,v) : Q(zeta_gcd(f,v))] = eps(lcm(f,v), v) / eps(v, v) in {1, 2}."""
     if f < 1 or v < 1:
         raise ValueError("f and v must be positive")
-    quot = epsilon(dec, math.lcm(f, v), v) / epsilon(dec, v, v)
-    assert quot in (1, 2), f"intersection degree {quot} outside {{1,2}} at f={f}, v={v}"
-    return int(quot)
+    quot, rem = divmod(_eps2(dec, math.lcm(f, v), v), _eps2(dec, v, v))
+    assert not rem and quot in (1, 2), f"intersection degree outside {{1,2}} at f={f}, v={v}"
+    return quot
 
 
 def sqrt_qstar_in_kvv(dec: GDecomposition, q: int, s: int, v: int) -> bool:

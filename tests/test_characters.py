@@ -10,9 +10,8 @@ from ordense.characters import (
     c_chi,
     character_group,
     h_chi,
-    primes_upto,
 )
-from ordense.density import _tables
+from ordense.sieve import primes_upto, tables
 
 # computed independently via a prime-zeta expansion of log A at 50 digits
 ARTIN_REFERENCE = 0.37395581361920228805
@@ -157,7 +156,7 @@ def test_c_chi_gcd_rs_zero(pmax):
 
 def _c_chi_direct(chi, h, r, s, vmax):
     """Truncated direct summation of the defining series, with a crude tail."""
-    spf, phi, _ = _tables(vmax)
+    spf, phi, _ = tables(vmax)
     total = 0j
     hval = {}
     for v in range(s, vmax + 1, s):

@@ -152,3 +152,16 @@ def test_density_composite_modulus_series():
     assert code == 0
     assert '"method":"series"' in out
     assert '"rigorous":false' in out
+
+
+def test_zero_truncation_flags_rejected(monkeypatch):
+    # an explicit 0 is invalid, not a request for the default
+    closed = ["density", "--g", "2", "--a", "0", "--d", "3", "--method", "closed"]
+    for flag in ("--tmax", "--nmax", "--vmax", "--pmax"):
+        code, _, err = _run([*closed, flag, "0"])
+        assert code == 2 and ">= 1" in err, flag
+    code, _, _ = _run(["density", "--g", "2", "--a", "1", "--d", "6", "--tmax", "0", "--nmax", "5"])
+    assert code == 2
+    monkeypatch.setenv("ORDENSE_PMAX", "0")
+    code, _, err = _run(closed)
+    assert code == 2 and ">= 1" in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordense.arith import kronecker
+from ordense.arith import kronecker, moebius
 from ordense.decomp import decompose
 from ordense.density import (
     DensityValue,
@@ -22,7 +22,8 @@ from ordense.density import (
     delta_prime_power,
     evaluate_density,
 )
-from ordense.kummer import kummer_degree, sqrt_qstar_in_kvv
+from ordense.kummer import epsilon, kummer_degree, sqrt_qstar_in_kvv
+from ordense.sieve import tables
 
 CFG = TruncationConfig(t_max=600, n_max=600, v_max=30_000, prime_cutoff=10**6)
 
@@ -109,14 +110,63 @@ def _level_q_tail(dec, q):
     return 8.0 * dec.h * q / CFG.v_max * (q - 1) + 1e-9
 
 
+def _mobius_class_counts(q, v_max):
+    """M_r(v) = sum over t | v with t = r (mod q) of mu(v/t), by a divisor sieve."""
+    _, _, mu = tables(v_max)
+    counts = [[0] * q for _ in range(v_max + 1)]
+    for t in range(1, v_max + 1):
+        for v in range(t, v_max + 1, t):
+            counts[v][t % q] += mu[v // t]
+    return counts
+
+
 def test_remark_rewrite_consistency():
     # the sqrt(q*)-restricted accumulator equals the smooth-weight rewrite
-    for g in (5, -3, 27, 2):
-        dec = decompose(g)
-        for q in (3, 5):
-            acc1, acc2, acc3 = _level_q_accumulators(dec, q, 20_000)
+    # sum_v M_r(v) * (2/[K(qv,v):Q] - 2/((q-1)[K(v,v):Q])) over v coprime to q
+    v_max = 20_000
+    _, phi, _ = tables(v_max)
+    for q in (3, 5):
+        counts = _mobius_class_counts(q, v_max)
+        for g in (5, -3, 27, 2):
+            dec = decompose(g)
+            smooth = [0.0] * q
+            for v in range(1, v_max + 1):
+                if v % q == 0:
+                    continue
+                deg_qv = kummer_degree(dec, q * v, v, (q - 1) * phi[v])
+                deg_vv = kummer_degree(dec, v, v, phi[v])
+                w = 2.0 / deg_qv - 2.0 / ((q - 1) * deg_vv)
+                for r in range(q):
+                    smooth[r] += counts[v][r] * w
+            _, acc2 = _level_q_accumulators(dec, q, v_max)
             for r in range(q):
-                assert abs(acc2[r] - acc3[r]) < 1e-12, (g, q, r)
+                assert abs(acc2[r] - smooth[r]) < 1e-12, (g, q, r)
+
+
+def test_general_series_eps_copy_matches_kernel():
+    # delta0 recomputed pair by pair with kummer_degree, over the series' own
+    # (t, n) pairs in its order, so the float sums must agree exactly
+    T = N = 60
+    half = 0
+    for g in (2, -3, 4, -4, 8, Fraction(1, 2), 12):
+        dec = decompose(g)
+        for d in (4, 6, 8, 9, 12):
+            for a in (0, 1):
+                total = 0.0
+                for t in range(1, T + 1):
+                    if math.gcd(1 + t * a, d) != 1:
+                        continue
+                    for n in range(1, N + 1):
+                        mun = moebius(n)
+                        if mun == 0 or a % math.gcd(n, d):
+                            continue
+                        kr, k = math.lcm(d, n) * t, n * t
+                        total += mun / kummer_degree(dec, kr, k)
+                        if g == -4 and epsilon(dec, kr, k) == Fraction(1, 2):
+                            half += 1
+                cfg = TruncationConfig(t_max=T, n_max=N)
+                assert delta_general_series(dec, a, d, cfg)[0].value == total, (g, d, a)
+    assert half  # g = -4 reaches the half-degree branch
 
 
 def test_theorem_equality_when_q_does_not_divide_disc():
@@ -333,13 +383,5 @@ def test_negative_even_exponent_flagged():
 
 
 def test_spec_and_config_types():
-    from ordense.density import DensitySpec
-
-    spec = DensitySpec(Fraction(2), 1, 3)
-    assert spec.d == 3 and spec.a1 is None
-    with pytest.raises(ValueError):
-        DensitySpec(Fraction(2), 1, 1)
-    with pytest.raises(ValueError):
-        DensitySpec(Fraction(2), 1, 3, a1=1)
     with pytest.raises(ValueError):
         TruncationConfig(t_max=0)

@@ -95,19 +95,31 @@ def test_joint_zero_class_forces_one_mod_q():
 
 
 def test_segmented_equals_monolithic():
-    a = count_residues(2, 3, 100_000, mode="monolithic")
+    # one segment (segment_size >= x), 2^14-wide segments, the default size
+    a = count_residues(2, 3, 100_000, segment_size=100_000)
     emp._factored_cache["key"] = None
-    b = count_residues(2, 3, 100_000, mode="segmented", segment_size=1 << 14)
+    b = count_residues(2, 3, 100_000, segment_size=1 << 14)
     assert a.counts == b.counts
     assert a.primes_considered == b.primes_considered
     emp._factored_cache["key"] = None
-    c = count_residues(2, 3, 100_000, mode="auto")
+    c = count_residues(2, 3, 100_000)
     assert a.counts == c.counts
 
 
-def test_monolithic_memory_guard():
-    with pytest.raises(ValueError, match="segmented"):
-        count_residues(2, 3, emp.MONOLITHIC_LIMIT + 1, mode="monolithic")
+def test_monolithic_memory_guard(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved past the memory guard")
+
+    monkeypatch.setattr(emp, "_segment_factored", no_sieve)
+    big = emp.SEGMENT_LIMIT + 1
+    with pytest.raises(ValueError, match="memory budget"):
+        count_residues(2, 3, big, segment_size=big)
+    with pytest.raises(ValueError, match="memory budget"):
+        count_joint(2, 3, 3, 10**9, segment_size=10**9)
+    with pytest.raises(ValueError, match="memory budget"):
+        list(sieve_orders(2, big, segment_size=10**9))
+    with pytest.raises(ValueError, match="positive"):
+        count_residues(2, 3, 100, segment_size=0)
     with pytest.raises(ValueError):
         count_residues(2, 3, emp.X_LIMIT + 1)
 
@@ -134,10 +146,10 @@ def test_oversized_g_rejected_before_sieving(monkeypatch):
         count_joint(Fraction(1, 2**64), 3, 3, 10**6)
 
 
-def _scalar_orders(g, x, mode="auto", segment_size=emp.DEFAULT_SEGMENT):
+def _scalar_orders(g, x, segment_size=emp.DEFAULT_SEGMENT):
     """Reference (p, ord, index) triples: one Python pow per prime and factor."""
     num, den = g.numerator, g.denominator
-    for pvals, fcat, bounds in emp._factored_chunks(x, segment_size, mode):
+    for pvals, fcat, bounds in emp._factored_chunks(x, segment_size):
         plist = pvals.tolist()
         flat = fcat.tolist()
         blist = bounds.tolist()
@@ -167,29 +179,29 @@ def oracle():
 
 
 # many segments each inside one block; odd segments cut into ragged blocks;
-# one segment of two blocks, the second partial
+# one segment (segment_size = x) of two blocks, the second partial
 @pytest.mark.parametrize(
-    "mode,size,block",
+    "size,block",
     [
-        ("segmented", 1 << 12, emp.BLOCK),
-        ("segmented", 100_003, 1000),
-        ("monolithic", emp.DEFAULT_SEGMENT, emp.BLOCK),
+        (1 << 12, emp.BLOCK),
+        (100_003, 1000),
+        (ORACLE_X, emp.BLOCK),
     ],
 )
-def test_kernel_matches_scalar_oracle(oracle, monkeypatch, mode, size, block):
+def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
     monkeypatch.setattr(emp, "BLOCK", block)
     for g, ref in oracle.items():
-        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X, mode, size)]
+        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X, size)]
         assert recs == ref, g
         if g in ORACLE_BIG_G:
             continue
-        tab = count_residues(g, 12, ORACLE_X, mode, size)
+        tab = count_residues(g, 12, ORACLE_X, size)
         want = {a: 0 for a in range(12)}
         for _, o, _ in ref:
             want[o % 12] += 1
         assert tab.counts == want, g
         assert tab.primes_considered == len(ref)
-        jt = count_joint(g, 4, 3, ORACLE_X, mode, size)
+        jt = count_joint(g, 4, 3, ORACLE_X, size)
         want = {}
         for p, o, _ in ref:
             want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1

@@ -4,18 +4,16 @@ from fractions import Fraction
 import pytest
 
 from ordense.arith import euler_phi, kronecker
-from ordense.characters import primes_upto
 from ordense.decomp import decompose
 from ordense.kummer import (
     UNSUPPORTED,
-    CgQuery,
-    DegreeQuery,
     entanglement_coefficient,
     epsilon,
     intersection_degree,
     kummer_degree,
     sqrt_qstar_in_kvv,
 )
+from ordense.sieve import primes_upto
 
 G_PANEL = [
     2, 3, 5, 6, 7, 8, 10, 27, -2, -3, -4, -5, -8, -27, 4, 9,
@@ -165,12 +163,6 @@ def test_cg_validation():
     d2 = decompose(2)
     with pytest.raises(ValueError):
         entanglement_coefficient(d2, 3, 9, 2)
-    with pytest.raises(ValueError):
-        CgQuery(3, 9, 2)
-    with pytest.raises(ValueError):
-        DegreeQuery(8, 3)
-    assert CgQuery(2, 9, 4).f == 9
-    assert DegreeQuery(8, 2).kr == 8
 
 
 def test_cg_unsupported_two_adic():
