@@ -12,8 +12,10 @@ Constants:
     A_chi         prod over chi(p) != 0 of
                   1 + (chi(p)-1)*p / ((p^2-chi(p))*(p-1))
     C_chi(h,r,s)  sum over v coprime to r with s | v of
-                  h_chi(v) * gcd(h,v) / (v*phi(v)),
-                  evaluated as an Euler product with closed-form local factors
+                  h_chi(v) * gcd(h,v) / (v*phi(v)); an Euler product that
+                  differs from A_chi only at the primes dividing h*r*s*q,
+                  so it is evaluated as A_chi times exact local corrections
+                  there (closed-form local factor over generic factor)
 
 Partial products run over primes up to a cutoff P and carry a rigorous tail
 bound: each omitted factor differs from 1 by at most 2.05/p^2, and
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize
+from .arith import factorize, valuation
 # bound here and called through this module global, so a wrapper installed
 # on ordense.characters.primes_upto sees every Euler product's sieve call
 from .sieve import primes_upto
@@ -205,6 +207,15 @@ def _chunked_prod(factors: np.ndarray) -> complex:
     return out
 
 
+def _generic_factor(p, c):
+    """A_chi's factor 1 + (c-1)*p / ((p^2-c)*(p-1)) at a prime p, c = chi(p) != 0.
+
+    Takes arrays (a_chi) or scalars (c_chi).  Never 0: its numerator
+    p^3 - p^2 - p + c has no root with |c| = 1.
+    """
+    return 1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))
+
+
 def _tail_factor(prime_cutoff: int) -> float:
     return math.expm1(_TAIL_CONST / (prime_cutoff * math.log(prime_cutoff)))
 
@@ -228,10 +239,9 @@ def a_chi(chi: DirichletCharacter, prime_cutoff: int = 10**7) -> EulerProductVal
     primes = primes_upto(prime_cutoff)
     c = chi.value_table()[primes % chi.modulus]
     keep = c != 0
-    p = primes[keep].astype(np.float64)
-    c = c[keep]
-    factors = 1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))
-    value = _chunked_prod(factors)
+    # rebinding c frees the full-length values before the factors are built
+    p, c = primes[keep].astype(np.float64), c[keep]
+    value = _chunked_prod(_generic_factor(p, c))
     out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
     _euler_cache[key] = out
     return out
@@ -270,12 +280,14 @@ def c_chi(
 ) -> EulerProductValue:
     """Partial Euler product for C_chi(h, r, s) with a rigorous tail bound.
 
-    Invariant under the sign of s (|s| is used).  Primes dividing r force
-    v coprime to them: if such a prime divides s the sum is empty (exact 0),
-    otherwise their local factor is 1.  Primes dividing h, s or the
-    character modulus get exact closed-form local factors; every other prime
-    p <= prime_cutoff contributes the generic factor
-    1 + (chi(p)-1)*p/((p^2-chi(p))*(p-1)).
+    Invariant under the sign of s (|s| is used).  C_chi differs from A_chi
+    only at the primes p dividing h*r*s*q.  A prime dividing r forces v
+    coprime to it: if it also divides s the sum is empty (exact 0),
+    otherwise its local factor is 1.  The other such primes get exact
+    closed-form local factors.  So the value is a_chi's partial product with
+    the generic factor of each such p divided out (when p <= prime_cutoff
+    and chi(p) != 0) and its local factor multiplied in: the same partial
+    product over the primes <= prime_cutoff, with the same tail bound.
     """
     if h < 1 or r < 1 or s == 0:
         raise ValueError("need h >= 1, r >= 1, s != 0")
@@ -290,29 +302,14 @@ def c_chi(
         out = EulerProductValue(0j, 0.0, prime_cutoff)
         _euler_cache[key] = out
         return out
-    special = sorted(
-        set(factorize(h).primes) | set(factorize(s).primes) | {chi._group.prime}
-    )
-    special = [p for p in special if r % p != 0]
-    value = 1 + 0j
-    for p in special:
-        alpha = 0
-        while s % p ** (alpha + 1) == 0:
-            alpha += 1
-        nu = 0
-        while h % p ** (nu + 1) == 0:
-            nu += 1
-        value *= _local_factor(chi, p, alpha, nu)
-    primes = primes_upto(prime_cutoff)
-    skip = set(special) | {p for p, _ in factorize(r) if p <= prime_cutoff}
-    mask = np.ones(len(primes), dtype=bool)
-    for p in skip:
-        if p <= prime_cutoff:
-            mask &= primes != p
-    p_arr = primes[mask].astype(np.float64)
-    c = chi.value_table()[primes[mask] % chi.modulus]
-    factors = 1.0 + (c - 1.0) * p_arr / ((p_arr * p_arr - c) * (p_arr - 1.0))
-    value *= _chunked_prod(factors)
+    corrected = {*factorize(h).primes, *factorize(r).primes, *factorize(s).primes}
+    value = a_chi(chi, prime_cutoff).value
+    for p in sorted(corrected | {chi._group.prime}):
+        c = chi(p)
+        if p <= prime_cutoff and c != 0:
+            value /= _generic_factor(float(p), c)
+        if r % p:
+            value *= _local_factor(chi, p, valuation(p, s), valuation(p, h))
     out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
     _euler_cache[key] = out
     return out
@@ -323,10 +320,7 @@ def artin_constant(prime_cutoff: int = 10**7) -> EulerProductValue:
     if prime_cutoff < 100:
         raise ValueError("prime_cutoff must be at least 100")
     p = primes_upto(prime_cutoff).astype(np.float64)
-    factors = 1.0 - 1.0 / (p * (p - 1.0))
-    value = 1.0
-    for i in range(0, len(factors), _CHUNK):
-        value *= float(np.prod(factors[i : i + _CHUNK]))
+    value = _chunked_prod(1.0 - 1.0 / (p * (p - 1.0))).real
     # |factor - 1| = 1/(p(p-1)) <= 1.02/p^2 here, same tail shape as a_chi
     tail = abs(value) * math.expm1(2.6 / (prime_cutoff * math.log(prime_cutoff)))
     return EulerProductValue(value, tail, prime_cutoff)

@@ -30,7 +30,8 @@ from .decomp import decompose
 from .density import (
     DEFAULT_CONFIG,
     TruncationConfig,
-    delta_general_series,
+    delta_g_zero_class,
+    delta_joint_one_mod_q,
     evaluate_density,
 )
 from .empirical import census_exceptional, compare, count_joint
@@ -190,8 +191,6 @@ def _cmd_verify(args, cfg) -> dict:
 def _joint_prediction(dec, d1, d2, a1, a2):
     """Analytic joint density where this artifact knows one: d1 = d2 = q odd
     prime, stratum p = 1 (mod q), plus the zero ord class."""
-    from .density import delta_g_zero_class, delta_joint_one_mod_q
-
     if d1 != d2 or d1 == 2 or not is_prime(d1):
         return None
     q = d1
@@ -254,10 +253,6 @@ def _cmd_constants(args, cfg) -> dict:
 
 
 def _cmd_census(args, cfg) -> dict:
-    if args.q == 2 or not is_prime(args.q):
-        raise _CliError("q must be an odd prime")
-    if not 1 <= args.x <= 10**8:
-        raise _CliError("census supports 1 <= x <= 1e8")
     count = census_exceptional(args.q, args.x)
     return {"q": args.q, "x": args.x, "count": count, "fraction": count / args.x}
 

@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 _HEURISTIC_C = 8.0
+# largest truncations accepted: sieve arrays and tables are sized by them
+# (tables(10**7) alone peaks near 850 MB); 1e8 is also the census's bound
+_PRIME_CUTOFF_LIMIT = 10**8
+_SUM_LIMIT = 10**7
 _METHODS = ("series", "char_form", "closed_form", "scaled")
 
 
@@ -69,6 +73,10 @@ class TruncationConfig:
     def __post_init__(self):
         if min(self.t_max, self.n_max, self.v_max, self.prime_cutoff) < 1:
             raise ValueError("all truncation parameters must be >= 1")
+        if self.prime_cutoff > _PRIME_CUTOFF_LIMIT:
+            raise ValueError("prime_cutoff must be <= 1e8")
+        if max(self.t_max, self.n_max, self.v_max) > _SUM_LIMIT:
+            raise ValueError("t_max, n_max and v_max must be <= 1e7")
 
 
 DEFAULT_CONFIG = TruncationConfig()

@@ -8,11 +8,13 @@ g^(E/l) = 1 (mod p), and the stripped factors make up the index
 
 The factor sieve runs in segments (default 2^24; a segment_size >= x sieves
 the whole range as one segment) and refuses segments that would not fit in
-memory.  Its base primes, like the census's primes, come from the package's
-one sieve, ordense.sieve.primes_upto.  It leaves, per segment, the primes,
-the flat list of their factors and the bounds of each prime's slice of that
-list.  Factorizations of p - 1 are independent of g and are cached, so
-counting runs for several g over the same x pay the sieve cost once.
+memory.  Its base primes come from the package's one sieve,
+ordense.sieve.primes_upto.  It leaves, per segment, the primes, the flat
+list of their factors and the bounds of each prime's slice of that list.
+Factorizations of p - 1 are independent of g and are cached, so counting
+runs for several g over the same x pay the sieve cost once.  The census
+takes its primes from the same sieve uncached (sieve_primes), so they are
+freed on return.
 
 The orders are computed by one numpy kernel over blocks of BLOCK primes of a
 segment, so its temporaries stay bounded at any segment size.  It reduces g
@@ -32,7 +34,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .arith import factorize, is_prime
-from .sieve import primes_upto
+from .sieve import primes_upto, sieve_primes
 
 __all__ = [
     "OrderRecord",
@@ -379,7 +381,7 @@ def census_exceptional(q: int, x: int) -> int:
     if x < 1 or x > 10**8:
         raise ValueError("census supports 1 <= x <= 1e8")
     excluded = np.zeros(x + 1, dtype=bool)
-    primes = primes_upto(x)
+    primes = sieve_primes(x)
     for p in primes[primes % q == 1]:
         p = int(p)
         pk = p

@@ -1,9 +1,11 @@
 """The package's one prime sieve and the arithmetic tables built from it.
 
-primes_upto serves the Euler products (characters), the base primes of the
-p - 1 factor sieve and the census (empirical); tables serves the Kummer
-series (density).  Both caches grow to the largest limit asked for and are
-never trimmed, so a smaller request is a slice of what is already held.
+primes_upto serves the Euler products (characters) and the base primes of
+the p - 1 factor sieve (empirical); tables serves the Kummer series
+(density).  Both caches grow to the largest limit asked for and are never
+trimmed, so a smaller request is a slice of what is already held.  The
+census (empirical) needs every prime up to its x only once, so it calls the
+uncached sieve_primes and its primes are freed on return.
 """
 
 from __future__ import annotations
@@ -12,22 +14,27 @@ import math
 
 import numpy as np
 
-__all__ = ["primes_upto", "tables"]
+__all__ = ["primes_upto", "sieve_primes", "tables"]
 
 _prime_cache: dict[str, np.ndarray] = {}
 _table_cache: dict[str, tuple[int, list[int], list[int], list[int]]] = {}
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array, uncached: the caller owns it."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
 
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (cached, grow-only)."""
     cached = _prime_cache.get("primes")
     if cached is None or _prime_cache["limit"] < limit:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        cached = np.flatnonzero(sieve).astype(np.int64)
+        cached = sieve_primes(limit)
         _prime_cache["primes"] = cached
         _prime_cache["limit"] = limit
     return cached[: int(np.searchsorted(cached, limit, side="right"))]

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from ordense.arith import euler_phi, moebius
+from ordense.arith import euler_phi, factorize, moebius
 from ordense.characters import (
     a_chi,
     artin_constant,
@@ -138,8 +139,8 @@ def test_c_chi_basic_identities(pmax):
     for q in (3, 5, 7):
         grp = character_group(q)
         for chi in grp:
-            # C(1, q, 1) = A_chi: identical local factors
-            assert abs(c_chi(chi, 1, q, 1, pmax).value - a_chi(chi, pmax).value) < 1e-12
+            # C(1, q, 1) = A_chi: identical local factors, so no correction
+            assert c_chi(chi, 1, q, 1, pmax).value == a_chi(chi, pmax).value
         # C_chi0(1, q, 2) = 0: the local factor at 2 vanishes for the
         # principal character
         assert c_chi(grp.principal, 1, q, 2, pmax).value == 0
@@ -197,6 +198,62 @@ def test_c_chi_against_direct_summation(pmax):
             assert abs(euler.value - direct) <= tail + euler.tail_bound, (
                 q, chi.index, h, r, s, euler.value, direct,
             )
+
+
+def _c_chi_direct_product(chi, h, r, s, prime_cutoff):
+    """C_chi as one product over the primes <= prime_cutoff, built without A_chi.
+
+    Primes dividing r contribute 1 and the other primes dividing h, s or q
+    their local factor, summed from the defining series over v = p^e with
+    p^alpha | v; every other prime p <= prime_cutoff gives the generic factor
+    1 + (c-1)p / ((p^2-c)(p-1)).
+    """
+    s = abs(s)
+    if math.gcd(r, s) > 1:
+        return 0j
+    q = chi._group.prime
+    special = sorted(
+        p for p in set(factorize(h).primes) | set(factorize(s).primes) | {q} if r % p
+    )
+    value = 1 + 0j
+    for p in special:
+        alpha, nu = factorize(s).valuation(p), factorize(h).valuation(p)
+        c = chi(p)
+        local = 1 + 0j if alpha == 0 else 0j
+        for e in range(max(alpha, 1), 60):
+            h_pe = c ** (e - 1) * (c - 1) if c != 0 else (-1 if e == 1 else 0)
+            local += h_pe * p ** min(e, nu) / (p**e * p ** (e - 1) * (p - 1))
+        value *= local
+    primes = primes_upto(prime_cutoff)
+    skip = [*special, *factorize(r).primes]
+    primes = primes[~np.isin(primes, skip)]
+    c = chi.value_table()[primes % chi.modulus]
+    keep = c != 0
+    p, c = primes[keep].astype(np.float64), c[keep]
+    return value * complex(np.prod(1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))))
+
+
+def test_c_chi_matches_direct_product(pmax):
+    # primes above 100 in h, r and s; special primes above the cutoff
+    # (101 at P = 100); r-primes above the cutoff; r = 1, so q is special
+    cases = [
+        (1, None, 1, pmax), (2, None, 8, pmax), (12, 1, 1, pmax), (9, 2, 25, pmax),
+        (8, 15, -4, pmax), (6, 35, 9, 100), (202, 309, 107, pmax),
+        (202, 309, 107, 100), (101, None, 1, 100), (101, 1, 202, 100),
+        (1, 101 * 103, 1, 100), (4, 6, 2, pmax), (18, 5, 3, 1000),
+    ]
+    for q in (3, 5, 7, 9, 11):
+        for chi in character_group(q):
+            for h, r, s, cutoff in cases:
+                r = q if r is None else r
+                got = c_chi(chi, h, r, s, cutoff).value
+                want = _c_chi_direct_product(chi, h, r, s, cutoff)
+                if want == 0:
+                    assert got == 0, (q, chi.index, h, r, s, cutoff, got)
+                else:
+                    assert abs(got - want) <= 1e-12 * abs(want), (
+                        q, chi.index, h, r, s, cutoff, got, want,
+                    )
 
 
 def test_c_chi_vanishes_when_q_divides_s(pmax):

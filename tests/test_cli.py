@@ -1,7 +1,12 @@
 import io
 import os
 
+import ordense.characters
+import ordense.density
+import ordense.empirical
+import ordense.sieve
 from ordense.cli import run
+from ordense.density import TruncationConfig
 
 
 def _run(argv):
@@ -154,6 +159,16 @@ def test_density_composite_modulus_series():
     assert '"rigorous":false' in out
 
 
+def _forbid_sieve(monkeypatch):
+    def boom(*args, **kw):
+        raise AssertionError("a truncation reached the sieve")
+
+    for mod in (ordense.sieve, ordense.characters, ordense.empirical, ordense.density):
+        for name in ("primes_upto", "sieve_primes", "tables"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+
+
 def test_zero_truncation_flags_rejected(monkeypatch):
     # an explicit 0 is invalid, not a request for the default
     closed = ["density", "--g", "2", "--a", "0", "--d", "3", "--method", "closed"]
@@ -162,6 +177,25 @@ def test_zero_truncation_flags_rejected(monkeypatch):
         assert code == 2 and ">= 1" in err, flag
     code, _, _ = _run(["density", "--g", "2", "--a", "1", "--d", "6", "--tmax", "0", "--nmax", "5"])
     assert code == 2
+    # truncations past the bounds are refused before anything is sieved
+    _forbid_sieve(monkeypatch)
+    series6 = ["density", "--g", "2", "--a", "1", "--d", "6", "--method", "series"]
+    series3 = ["density", "--g", "2", "--a", "1", "--d", "3", "--method", "series"]
+    for argv in (
+        ["constants", "--q", "3", "--pmax", "100000001"],
+        ["density", "--g", "2", "--a", "1", "--d", "3", "--method", "char", "--pmax", "1000000000"],
+        ["verify", "--g", "2", "--d", "3", "--x", "1000", "--pmax", "100000001"],
+        [*series6, "--tmax", "10000001"],
+        [*series6, "--nmax", "10000001"],
+        [*series3, "--vmax", "100000000"],
+        ["verify", "--g", "2", "--d", "3", "--x", "1000", "--vmax", "10000001"],
+    ):
+        code, _, err = _run(argv)
+        assert code == 2 and "<= 1e" in err, argv
+    TruncationConfig(t_max=10**7, n_max=10**7, v_max=10**7, prime_cutoff=10**8)
+    monkeypatch.setenv("ORDENSE_PMAX", "100000001")
+    code, _, err = _run(["constants", "--q", "3"])
+    assert code == 2 and "<= 1e8" in err
     monkeypatch.setenv("ORDENSE_PMAX", "0")
     code, _, err = _run(closed)
     assert code == 2 and ">= 1" in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import ordense.empirical as emp
+import ordense.sieve as sieve
 from ordense.arith import factorize, squarefree_kernel
 from ordense.empirical import (
     OrderRecord,
@@ -260,6 +261,13 @@ def _brute_census(q, x):
 def test_census_brute_force():
     for q, x in ((3, 30), (3, 500), (5, 400), (7, 300)):
         assert census_exceptional(q, x) == _brute_census(q, x), (q, x)
+
+
+def test_census_leaves_no_primes_cached(monkeypatch):
+    # the census's primes <= x are freed on return, not kept in the prime cache
+    monkeypatch.setattr(sieve, "_prime_cache", {})
+    census_exceptional(3, 10**6)
+    assert sieve._prime_cache == {}
 
 
 def test_census_monotone_and_thinning():
