@@ -22,9 +22,10 @@ coefficients cannot be decided; the full series then returns an interval
 [lo, hi] instead of a point value, never a guess.
 
 The series read their spf/phi/mu tables from ordense.sieve.tables and their
-Kummer degrees from ordense.kummer, where the correction eps is defined once
-and coded as the integer 2*eps.  The (t, n) double series keeps the one
-inline copy of that code (see the comment in delta_general_series).
+Kummer degrees from ordense.kummer, where the correction eps (coded as the
+integer 2*eps) and the coefficients c_g are defined once.  The (t, n) double
+series evaluates its pairs as numpy arrays, in blocks of BLOCK pairs, and
+calls both kernels once per distinct key of the inputs they read.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import discriminant_sqrt, euler_phi, factorize, is_prime, kronecker, nu2, valuation
 from .characters import CharacterGroup, a_chi, c_chi, character_group
 from .decomp import GDecomposition, decompose, n_r
-from .kummer import UNSUPPORTED, entanglement_coefficient, kummer_degree
+from .kummer import UNSUPPORTED, _eps2, entanglement_coefficient, kummer_degree
 from .sieve import tables
 
 __all__ = [
@@ -58,6 +61,9 @@ _HEURISTIC_C = 8.0
 # (tables(10**7) alone peaks near 850 MB); 1e8 is also the census's bound
 _PRIME_CUTOFF_LIMIT = 10**8
 _SUM_LIMIT = 10**7
+# pairs per block of the (t, n) double series: bounds its arrays, so memory
+# stays flat in t_max and n_max
+BLOCK = 1 << 12
 _METHODS = ("series", "char_form", "closed_form", "scaled")
 
 
@@ -420,6 +426,79 @@ def delta_charform(
 
 
 # ---------------------------------------------------------------------------
+# the (t, n) pairs of the double series, in blocks
+
+
+def _int_dtype(bound: int):
+    """int64 when every integer a series computes stays below bound, else Python ints."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
+    """The (t, n) pairs both double series sum over, as arrays of dtype dt.
+
+    Keeps the t <= t_max with gcd(1 + ta, d) = 1 and the squarefree
+    n <= n_max with gcd(n, d) | a.  Returns (t, n, mu(n), ell = lcm(d, n),
+    blocks): blocks yields (i, j, philt) for runs of at most BLOCK
+    consecutive pairs in loop order (t outer, n inner), each pair
+    (t[i], n[j]) with philt = phi(ell[j] * t[i]).
+    """
+    limit = max(cfg.t_max, cfg.n_max)
+    _, phi, mu = tables(limit)
+    phi = np.asarray(phi[: limit + 1]).astype(dt)
+    mun = np.asarray(mu[1 : cfg.n_max + 1])
+    n = np.arange(1, cfg.n_max + 1).astype(dt)
+    g1 = np.gcd(n, d)
+    keep = (mun != 0) & (a % g1 == 0)
+    n, g1, mun = n[keep], g1[keep], mun[keep]
+    divs, inverse = np.unique(g1, return_inverse=True)
+    phig1 = np.array([euler_phi(int(x)) for x in divs], dtype=dt)[inverse]
+    ell = d * n // g1
+    phil = euler_phi(d) * phi[n.astype(np.intp)] // phig1
+    t = np.arange(1, cfg.t_max + 1).astype(dt)
+    t = t[np.gcd(1 + t * a, d) == 1]
+    phit = phi[t.astype(np.intp)]
+
+    def blocks():
+        pairs = len(t) * len(n)
+        for p0 in range(0, pairs, BLOCK):
+            i, j = np.divmod(np.arange(p0, min(p0 + BLOCK, pairs)), len(n))
+            g2 = np.gcd(ell[j], t[i])
+            yield i, j, phil[j] * phit[i] * g2 // phi[g2.astype(np.intp)]
+
+    return t, n, mun, ell, blocks()
+
+
+def _terms(mun: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """mu / deg as float64, each rounded once, as Python's int / int is."""
+    term = np.asarray(mun / deg, dtype=np.float64)
+    # numpy rounds deg to a float first, which is exact only up to 2^53
+    big = np.flatnonzero(deg > 1 << 53)
+    if len(big):
+        term[big] = [m / x for m, x in zip(mun[big].tolist(), deg[big].tolist())]
+    return term
+
+
+def _running_sum(start: float, x: np.ndarray) -> float:
+    """start + x[0] + x[1] + ..., added left to right as a scalar loop adds."""
+    if not len(x):
+        return start
+    return float(np.cumsum(np.concatenate(([start], x)))[-1])
+
+
+def _per_key(key: np.ndarray, memo: dict, value_at) -> np.ndarray:
+    """memo[k] for every entry k of key, filling a missing k with value_at(first index of k)."""
+    # without return_index np.unique skips a stable argsort, about 2.5x faster
+    uniq, inverse = np.unique(key, return_inverse=True)
+    vals = []
+    for u, k in enumerate(uniq.tolist()):
+        if k not in memo:
+            memo[k] = value_at(int(np.argmax(inverse == u)))
+        vals.append(memo[k])
+    return np.array(vals, dtype=np.int64)[inverse]
+
+
+# ---------------------------------------------------------------------------
 # the g-averaged density
 
 
@@ -454,29 +533,12 @@ def delta_avg(
             raise AssertionError("A_chi sum has a nonvanishing imaginary part")
         val = (float(Fraction(q * q, (q - 1) * (q * q - 1))) - tot.real / (q - 1) ** 2) / scale
         return DensityValue(val, err / (q - 1) ** 2 / scale + 1e-13, True, "char_form")
-    # truncated double series, no g anywhere
-    limit = max(cfg.t_max, cfg.n_max)
-    _, phi, mu = tables(limit)
-    phid = euler_phi(d)
-    ns = []
-    for n in range(1, cfg.n_max + 1):
-        mun = mu[n]
-        if mun == 0:
-            continue
-        g1 = math.gcd(n, d)
-        if a % g1:
-            continue
-        phil = phid * phi[n] // euler_phi(g1)
-        ns.append((n, mun, d * n // g1, phil))
+    # truncated double series, no g anywhere: the degree is philt * n * t
+    dt = _int_dtype(d * (cfg.n_max * cfg.t_max) ** 2)
+    t, n, mun, _, blocks = _pair_blocks(a, d, cfg, dt)
     total = 0.0
-    for t in range(1, cfg.t_max + 1):
-        if math.gcd(1 + t * a, d) != 1:
-            continue
-        phit = phi[t]
-        for n, mun, ell, phil in ns:
-            g2 = math.gcd(ell, t)
-            philt = phil * phit * g2 // phi[g2]
-            total += mun / (philt * n * t)
+    for i, j, philt in blocks:
+        total = _running_sum(total, _terms(mun[j], philt * n[j] * t[i]))
     tail = _HEURISTIC_C * d * (1.0 / cfg.t_max + 1.0 / cfg.n_max)
     return DensityValue(total, tail, False, "series")
 
@@ -538,78 +600,97 @@ def delta_general_series(
     d * t_d, t_d the (t,d)-shared prime part of t.  delta0 forces every
     c_g to 1.  Terms whose coefficient is UNSUPPORTED contribute an
     interval; delta then carries lo/hi brackets around the truncated sum.
+
+    The pairs are summed in blocks of at most BLOCK pairs, in loop order, so
+    every sum equals the scalar (t, n) loop's.  The integers are int64 when
+    the worst case fits: the degree numerators (at most
+    2*d*(n_max*t_max)^2), the eps keys (built from n_r(z) <= max(m,
+    lcm(2^(nu2(hd)+1), D(g0))) for z | d) and the c_g keys (built from K_f,
+    below) all stay below 2^63.  Otherwise they are Python ints.
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
     a %= d
-    limit = max(cfg.t_max, cfg.n_max)
-    spf, phi, mu = tables(limit)
+    t_max, n_max = cfg.t_max, cfg.n_max
     h = dec.h
-    neg = dec.sign < 0
     hc2 = dec.hc2
-    phid = euler_phi(d)
-    dprimes = [p for p, _ in factorize(d)]
-    ns = []
-    for n in range(1, cfg.n_max + 1):
-        mun = mu[n]
-        if mun == 0:
-            continue
-        g1 = math.gcd(n, d)
-        if a % g1:
-            continue
-        ell = d * n // g1
-        phil = phid * phi[n] // euler_phi(g1)
-        z = ell // n
-        nrz = n_r(dec, z)
-        ns.append((n, mun, ell, phil, z % 2 == 1, nrz))
+    # t_d, the part of t made of primes of d, for every t <= t_max
+    td = np.ones(t_max, dtype=np.int64)
+    for p, _ in factorize(d):
+        pk = p
+        while pk <= t_max:
+            td[pk - 1 :: pk] *= p
+            pk *= p
+    # entanglement_coefficient(dec, b, f, v) with f = d * t_d reads v only
+    # through divisibility by divisors of K_f = lcm(f, m, D(g0),
+    # 2^(nu2(h)+nu2(f)+1)): gcd(f, v), n_r(r) for r | f, n_1 / q and hc2.
+    # It reads b only mod f: (q*|b) has period q, which divides f.  So c_g
+    # is a function of (f, b mod f, gcd(v, K_f)).
+    tds, td_of_t = np.unique(td, return_inverse=True)
+    kfs = [
+        math.lcm(f, dec.m, dec.disc_g0, 2 << (nu2(h) + nu2(f)))
+        for f in (d * x for x in tds.tolist())
+    ]
+    kf_max = max(kfs)
+    nz_max = max(dec.m, math.lcm(2 << nu2(h * d), dec.disc_g0))
+    bound = max(
+        2 * d * (n_max * t_max) ** 2,
+        (d + 1) * (nz_max + 1) * (hc2 + 1),
+        t_max * (kf_max + 1),
+    )
+    dt = _int_dtype(bound)
+    t, n, mun, ell, blocks = _pair_blocks(a, d, cfg, dt)
+    z = ell // n
+    zs, z_of_n = np.unique(z, return_inverse=True)
+    nz = np.array([n_r(dec, int(x)) for x in zs], dtype=dt)[z_of_n]
+    tpos = t.astype(np.intp) - 1
+    kf = np.array(kfs, dtype=dt)[td_of_t[tpos]]
+    tdk = td[tpos].astype(dt)
+    f = d * tdk
+    b = 1 + t * a
+    # one id per distinct (f, b mod f), as b mod f < d * t_max
+    _, tid = np.unique(tdk * (d * t_max) + b % f, return_inverse=True)
+    tid = tid.astype(dt)
+    eps_memo: dict[int, int] = {}
+    cg_memo: dict[int, int] = {}
     total0 = 0.0
     total = 0.0
     lo = 0.0
     hi = 0.0
-    for t in range(1, cfg.t_max + 1):
-        b = 1 + t * a
-        if math.gcd(b, d) != 1:
-            continue
-        phit = phi[t]
-        td = 1
-        tt = t
-        for p in dprimes:
-            while tt % p == 0:
-                td *= p
-                tt //= p
-        f = d * td
-        for n, mun, ell, phil, zodd, nrz in ns:
-            v = n * t
-            g2 = math.gcd(ell, t)
-            philt = phil * phit * g2 // phi[g2]
-            # deg = kummer_degree(dec, ell * t, v, philt), with the kernel's
-            # 2*eps (kummer._eps2 at r = z) copied inline: a kernel call per
-            # pair made this loop 1.3-2x slower at T = N = 300, d = 6.  The
-            # copy is pinned to kummer_degree by
-            # test_general_series_eps_copy_matches_kernel.
-            if (ell * t) % nrz == 0:
-                eps2 = 4
-            elif neg and zodd and v % 2 == 0 and v % hc2 != 0:
-                eps2 = 1
-            else:
-                eps2 = 2
-            deg, rem = divmod(2 * philt * v, eps2 * math.gcd(v, h))
-            if rem:
-                raise AssertionError(f"non-integral degree at t={t}, n={n}")
-            term = mun / deg
-            total0 += term
-            c = entanglement_coefficient(dec, b, f, v)
-            if c is UNSUPPORTED:
-                lo += min(0.0, term)
-                hi += max(0.0, term)
-            elif c:
-                total += term
+    for i, j, philt in blocks:
+        v = n[j] * t[i]
+        lt = ell[j] * t[i]
+        # _eps2(dec, lt, v) reads r = z, lt mod n_r(z) and v mod hc2
+        eps_key = (z[j] * (nz_max + 1) + np.gcd(lt, nz[j])) * (hc2 + 1) + np.gcd(v, hc2)
+        eps2 = _per_key(eps_key, eps_memo, lambda k: _eps2(dec, int(lt[k]), int(v[k])))
+        num = 2 * philt * v
+        den = eps2 * np.gcd(v, h)
+        bad = np.flatnonzero(num % den)
+        if len(bad):
+            k = bad[0]
+            raise AssertionError(f"non-integral degree at t={t[i[k]]}, n={n[j[k]]}")
+        term = _terms(mun[j], num // den)
+        cg_key = tid[i] * (kf_max + 1) + np.gcd(v, kf[i])
+        c = _per_key(
+            cg_key, cg_memo, lambda k: _coefficient(dec, int(b[i[k]]), int(f[i[k]]), int(v[k]))
+        )
+        undecided = c < 0
+        total0 = _running_sum(total0, term)
+        total = _running_sum(total, term[c == 1])
+        lo = _running_sum(lo, term[undecided & (term < 0)])
+        hi = _running_sum(hi, term[undecided & (term > 0)])
     tail = _series_tail(dec, d, cfg, "tn")
     d0 = DensityValue(total0, tail, False, "series")
     if lo == 0.0 and hi == 0.0:
         return d0, DensityValue(total, tail, False, "series")
     mid = total + (lo + hi) / 2
     return d0, DensityValue(mid, tail, False, "series", lo=total + lo, hi=total + hi)
+
+
+def _coefficient(dec: GDecomposition, b: int, f: int, v: int) -> int:
+    """entanglement_coefficient as an int, -1 for UNSUPPORTED."""
+    c = entanglement_coefficient(dec, b, f, v)
+    return -1 if c is UNSUPPORTED else c
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ trivially on that intersection?
 
 eps is defined once, in _eps2, coded as the integer 2*eps in {1, 2, 4} so
 every degree is computed with integers only; epsilon returns it as a
-Fraction.  delta_general_series keeps one inline copy of it in its pair loop
-(see the comment there), pinned to kummer_degree by the tests.
+Fraction.  The (t, n) double series of ordense.density calls _eps2 and
+entanglement_coefficient once per distinct key of the inputs they read.
 
 The intersection is the plain cyclotomic Q(zeta_gcd(f,v)) or a quadratic
 extension of it.  When the quadratic jump is attributable to a single odd

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ordense.arith import kronecker, moebius
+import ordense.density as density
+from ordense.arith import euler_phi, factorize, kronecker, moebius
 from ordense.decomp import decompose
 from ordense.density import (
     DensityValue,
@@ -22,7 +25,13 @@ from ordense.density import (
     delta_prime_power,
     evaluate_density,
 )
-from ordense.kummer import epsilon, kummer_degree, sqrt_qstar_in_kvv
+from ordense.kummer import (
+    UNSUPPORTED,
+    entanglement_coefficient,
+    epsilon,
+    kummer_degree,
+    sqrt_qstar_in_kvv,
+)
 from ordense.sieve import tables
 
 CFG = TruncationConfig(t_max=600, n_max=600, v_max=30_000, prime_cutoff=10**6)
@@ -167,6 +176,137 @@ def test_general_series_eps_copy_matches_kernel():
                 cfg = TruncationConfig(t_max=T, n_max=N)
                 assert delta_general_series(dec, a, d, cfg)[0].value == total, (g, d, a)
     assert half  # g = -4 reaches the half-degree branch
+
+
+def _kept_n(a, d, N):
+    """(n, mu(n), lcm(d, n), phi(lcm(d, n))) over squarefree n <= N with gcd(n, d) | a."""
+    _, phi, mu = tables(N)
+    out = []
+    for n in range(1, N + 1):
+        g1 = math.gcd(n, d)
+        if mu[n] and a % g1 == 0:
+            out.append((n, mu[n], d * n // g1, euler_phi(d) * phi[n] // euler_phi(g1)))
+    return out
+
+
+def _general_series_oracle(dec, a, d, T, N):
+    """The scalar (t, n) loop of the double series: (delta0, delta, lo, hi).
+
+    One kummer_degree and one entanglement_coefficient call per pair, in
+    Python ints; lo and hi are None when no coefficient is UNSUPPORTED.
+    """
+    a %= d
+    _, phi, _ = tables(max(T, N))
+    dprimes = [p for p, _ in factorize(d)]
+    ns = _kept_n(a, d, N)
+    total0 = total = lo = hi = 0.0
+    for t in range(1, T + 1):
+        b = 1 + t * a
+        if math.gcd(b, d) != 1:
+            continue
+        td = 1
+        rest = t
+        for p in dprimes:
+            while rest % p == 0:
+                td *= p
+                rest //= p
+        for n, mun, ell, phil in ns:
+            v = n * t
+            g2 = math.gcd(ell, t)
+            term = mun / kummer_degree(dec, ell * t, v, phil * phi[t] * g2 // phi[g2])
+            total0 += term
+            c = entanglement_coefficient(dec, b, d * td, v)
+            if c is UNSUPPORTED:
+                lo += min(0.0, term)
+                hi += max(0.0, term)
+            elif c:
+                total += term
+    if lo == 0.0 and hi == 0.0:
+        return total0, total, None, None
+    return total0, total + (lo + hi) / 2, total + lo, total + hi
+
+
+def _series_outputs(dec, a, d, T, N):
+    d0, dv = delta_general_series(dec, a, d, TruncationConfig(t_max=T, n_max=N))
+    assert d0.lo is None and d0.hi is None
+    return d0.value, dv.value, dv.lo, dv.hi
+
+
+@pytest.mark.parametrize("g", [2, -2, -3, 4, -4, 8, Fraction(1, 2), 12, 9])
+def test_general_series_matches_scalar_oracle(g):
+    # every output of every class, exactly: the blocks sum in loop order
+    dec = decompose(g)
+    for d in (4, 6, 8, 9, 10, 12, 24):
+        for a in range(d):
+            assert _series_outputs(dec, a, d, 80, 80) == _general_series_oracle(
+                dec, a, d, 80, 80
+            ), (g, d, a)
+
+
+def test_general_series_blocks_split_pairs_of_one_t(monkeypatch):
+    # blocks of 1 and 7 pairs end in the middle of a t's run of n
+    cases = [(g, d, a) for g in (2, -4, Fraction(1, 2)) for d in (6, 8) for a in range(d)]
+    want = {c: _general_series_oracle(decompose(c[0]), c[2], c[1], 40, 40) for c in cases}
+    for block in (1, 7):
+        monkeypatch.setattr(density, "BLOCK", block)
+        for g, d, a in cases:
+            assert _series_outputs(decompose(g), a, d, 40, 40) == want[g, d, a], (block, g, d, a)
+
+
+def test_general_series_exact_beyond_int64():
+    # D(g0) has 92 bits, and d = 3 * 2^42 puts 2*d*(N*T)^2 above 2^63: both
+    # need Python ints, where int64 raises OverflowError or wraps silently
+    big_g = decompose(Fraction(2**61 - 1, 2**31 - 1))
+    assert big_g.disc_g0.bit_length() == 92
+    for dec, d in ((big_g, 6), (decompose(2), 3 * 2**42)):
+        assert _series_outputs(dec, 1, d, 40, 40) == _general_series_oracle(dec, 1, d, 40, 40)
+
+
+def test_series_terms_round_once():
+    # 1/float(D) != 1/D for this D > 2^53: numpy would round twice
+    D = 652208343242985395
+    assert 1 / float(D) != 1 / D
+    mun = np.array([1, -1, 1])
+    deg = np.array([D, D, 6])
+    assert density._terms(mun, deg).tolist() == [1 / D, -1 / D, 1 / 6]
+
+
+def test_general_series_memory_bounded():
+    # the 5.5e6 pairs at T = N = 3000 would need hundreds of MB as whole
+    # arrays; the blocks keep the peak of the Python heap under 4 MB
+    cfg = TruncationConfig(t_max=3000, n_max=3000)
+    tables(3000)
+    tracemalloc.start()
+    try:
+        delta_general_series(decompose(2), 0, 6, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def _avg_series_oracle(a, d, T, N):
+    """The scalar (t, n) loop of delta_avg's g-free series."""
+    a %= d
+    _, phi, _ = tables(max(T, N))
+    ns = _kept_n(a, d, N)
+    total = 0.0
+    for t in range(1, T + 1):
+        if math.gcd(1 + t * a, d) != 1:
+            continue
+        for n, mun, ell, phil in ns:
+            g2 = math.gcd(ell, t)
+            total += mun / (phil * phi[t] * g2 // phi[g2] * n * t)
+    return total
+
+
+def test_avg_series_matches_scalar_oracle():
+    cfg = TruncationConfig(t_max=200, n_max=200)
+    for d in (3, 4, 6, 12):
+        for a in range(d):
+            assert delta_avg(a, d, cfg, method="series").value == _avg_series_oracle(
+                a, d, 200, 200
+            ), (d, a)
 
 
 def test_theorem_equality_when_q_does_not_divide_disc():
