@@ -51,7 +51,6 @@ from .empirical import (
     count_joint,
     count_residues,
     sieve_orders,
-    write_orders_csv,
 )
 from .kummer import (
     UNSUPPORTED,

@@ -52,6 +52,9 @@ __all__ = [
 
 _TAIL_CONST = 5.2  # 2 * 1.021 * 2.52, see module docstring
 _CHUNK = 1 << 16
+# largest prime cutoff accepted: the sieve holds one byte per integer up to
+# it; 1e8 is also the census's bound
+_PRIME_CUTOFF_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,6 @@ class DirichletCharacter:
 
     def conjugate(self) -> "DirichletCharacter":
         return self._group.characters[(-self.index) % self.phi]
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if other.modulus != self.modulus:
-            raise ValueError("characters to different moduli")
-        return self._group.characters[(self.index + other.index) % self.phi]
 
     def __eq__(self, other):
         return (
@@ -216,6 +214,14 @@ def _generic_factor(p, c):
     return 1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))
 
 
+def check_prime_cutoff(prime_cutoff: int) -> None:
+    """Refuse a prime cutoff outside [100, 1e8] before anything is sieved."""
+    if prime_cutoff < 100:
+        raise ValueError("prime_cutoff must be at least 100")
+    if prime_cutoff > _PRIME_CUTOFF_LIMIT:
+        raise ValueError("prime_cutoff must be <= 1e8")
+
+
 def _tail_factor(prime_cutoff: int) -> float:
     return math.expm1(_TAIL_CONST / (prime_cutoff * math.log(prime_cutoff)))
 
@@ -228,8 +234,7 @@ def a_chi(chi: DirichletCharacter, prime_cutoff: int = 10**7) -> EulerProductVal
 
     The principal character gives exactly 1 (every factor is 1).
     """
-    if prime_cutoff < 100:
-        raise ValueError("prime_cutoff must be at least 100")
+    check_prime_cutoff(prime_cutoff)
     if chi.is_principal:
         return EulerProductValue(1 + 0j, 0.0, prime_cutoff)
     key = ("a", chi.modulus, chi.index, prime_cutoff)
@@ -291,8 +296,7 @@ def c_chi(
     """
     if h < 1 or r < 1 or s == 0:
         raise ValueError("need h >= 1, r >= 1, s != 0")
-    if prime_cutoff < 100:
-        raise ValueError("prime_cutoff must be at least 100")
+    check_prime_cutoff(prime_cutoff)
     s = abs(s)
     key = ("c", chi.modulus, chi.index, h, r, s, prime_cutoff)
     hit = _euler_cache.get(key)
@@ -317,8 +321,7 @@ def c_chi(
 
 def artin_constant(prime_cutoff: int = 10**7) -> EulerProductValue:
     """Artin's constant prod_p (1 - 1/(p(p-1))) over primes <= prime_cutoff."""
-    if prime_cutoff < 100:
-        raise ValueError("prime_cutoff must be at least 100")
+    check_prime_cutoff(prime_cutoff)
     p = primes_upto(prime_cutoff).astype(np.float64)
     value = _chunked_prod(1.0 - 1.0 / (p * (p - 1.0))).real
     # |factor - 1| = 1/(p(p-1)) <= 1.02/p^2 here, same tail shape as a_chi

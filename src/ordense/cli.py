@@ -156,12 +156,7 @@ def _cmd_verify(args, cfg) -> dict:
     if args.d < 2 or args.x < 2:
         raise _CliError("need d >= 2 and x >= 2")
     if args.d1 is None:
-        analytic = {}
-        for a in range(args.d):
-            try:
-                analytic[a] = evaluate_density(g, a, args.d, "auto", cfg)
-            except ValueError:
-                continue
+        analytic = {a: evaluate_density(g, a, args.d, "auto", cfg) for a in range(args.d)}
         report = compare(g, args.d, args.x, analytic)
         return report.to_dict()
     table = count_joint(g, args.d1, args.d, args.x)

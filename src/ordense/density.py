@@ -10,7 +10,9 @@ cross-check each other:
                  zero class, the v-series for level q, and the full (t,n)
                  double series for arbitrary modulus d;
   char forms     linear combinations of the Euler-product constants A_chi
-                 and C_chi(h, q, s) over the character group mod q.
+                 and C_chi(h, q, s) over the character group mod q; one
+                 assembly from C_chi serves every exponent h (its
+                 negative-g correction X_chi is 0 at odd h).
 
 Series results carry a heuristic tail bound (rigorous=False) of
 C*h*d/truncation with C = 8; they are meant to be validated against the
@@ -36,8 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import discriminant_sqrt, euler_phi, factorize, is_prime, kronecker, nu2, valuation
-from .characters import CharacterGroup, a_chi, c_chi, character_group
+from .arith import euler_phi, factorize, is_prime, kronecker, nu2, valuation
+from .characters import CharacterGroup, a_chi, c_chi, character_group, check_prime_cutoff
 from .decomp import GDecomposition, decompose, n_r
 from .kummer import UNSUPPORTED, _eps2, entanglement_coefficient, kummer_degree
 from .sieve import tables
@@ -57,9 +59,8 @@ __all__ = [
 ]
 
 _HEURISTIC_C = 8.0
-# largest truncations accepted: sieve arrays and tables are sized by them
-# (tables(10**7) alone peaks near 850 MB); 1e8 is also the census's bound
-_PRIME_CUTOFF_LIMIT = 10**8
+# largest sum truncations accepted: tables are sized by them
+# (a process that builds tables(3 * 10**6) peaks near 120 MB)
 _SUM_LIMIT = 10**7
 # pairs per block of the (t, n) double series: bounds its arrays, so memory
 # stays flat in t_max and n_max
@@ -79,8 +80,7 @@ class TruncationConfig:
     def __post_init__(self):
         if min(self.t_max, self.n_max, self.v_max, self.prime_cutoff) < 1:
             raise ValueError("all truncation parameters must be >= 1")
-        if self.prime_cutoff > _PRIME_CUTOFF_LIMIT:
-            raise ValueError("prime_cutoff must be <= 1e8")
+        check_prime_cutoff(self.prime_cutoff)
         if max(self.t_max, self.n_max, self.v_max) > _SUM_LIMIT:
             raise ValueError("t_max, n_max and v_max must be <= 1e7")
 
@@ -207,6 +207,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     if hit is not None:
         return hit
     spf, phi, _ = tables(v_max)
+    # list indexing is faster than numpy scalar indexing in this loop
+    spf, phi = spf[: v_max + 1].tolist(), phi[: v_max + 1].tolist()
     neg = dec.sign < 0
     hc2 = dec.hc2
     qdivD = dec.disc_g0 % q == 0
@@ -298,70 +300,19 @@ def _avg_charform_terms(grp: CharacterGroup, a: int, prime_cutoff: int):
     return tot, err
 
 
-def _charform_pair_generic(dec: GDecomposition, a: int, q: int, prime_cutoff: int):
-    """Explicit character form for exponent-free g (h = 1): (delta0, delta).
-
-    delta_g(a,q) = q^2/((q-1)(q^2-1)) - (1/(q-1)^2) * sum_chi chi(-a) A_chi
-    * (1 + eps_g(chi) * W * prod_{p | 2D'} p(chi(p)-1)/(p^3-p^2-p+chi(p)))
-    with D' = D(g) (weight W = 1) when q does not divide D(g), else
-    D' = D(g)/q and W = 1 + 2*sum_b conj(chi(b)) over (1-b|q) = -1.
-    The delta0 variant always uses W = 1.
-    """
-    disc = discriminant_sqrt(dec.g)
-    absd = abs(disc)
-    v2d = nu2(absd) if absd % 2 == 0 else 0
-    if v2d not in (0, 2, 3):
-        raise AssertionError(f"impossible discriminant 2-part {v2d}")
-    qdiv = absd % q == 0
-    plist = [p for p, _ in factorize(2 * absd) if p != q]
-    grp = character_group(q)
-    tot0 = 0j
-    tot = 0j
-    err = 0.0
-    for chi in grp:
-        av = a_chi(chi, prime_cutoff)
-        prod = 1 + 0j
-        for p in plist:
-            c = chi(p)
-            prod *= p * (c - 1) / (p**3 - p**2 - p + c)
-        if v2d == 0:
-            eps = 1 + 0j
-        elif v2d == 2:
-            eps = chi(2) / 4
-        else:
-            eps = chi(2) ** 2 / 16
-        inner0 = 1 + eps * prod
-        if qdiv:
-            inner = 1 + eps * (1 + 2 * _bsum(chi, q)) * prod
-        else:
-            inner = inner0
-        w = chi(-a)
-        tot0 += w * av.value * inner0
-        tot += w * av.value * inner
-        err += av.tail_bound * max(abs(inner0), abs(inner))
-    const = Fraction(q * q, (q - 1) * (q * q - 1))
-    scale = (q - 1) ** 2
-    err = err / scale + 1e-13
-    vals = []
-    for t in (tot0, tot):
-        if abs(t.imag) > 1e-12 * scale:
-            raise AssertionError(f"character sum has imaginary part {t.imag}")
-        vals.append(float(const) - t.real / scale)
-    return (
-        DensityValue(vals[0], err, True, "char_form"),
-        DensityValue(vals[1], err, True, "char_form"),
-    )
-
-
-def _charform_pair_convolution(dec: GDecomposition, a: int, q: int, prime_cutoff: int):
-    """Character form for general exponent h, assembled from C_chi constants.
+def _charform_pair(dec: GDecomposition, a: int, q: int, prime_cutoff: int):
+    """(delta0, delta) at level q from C_chi constants: one assembly for every h.
 
     delta0(a,q) = 1/(q-1) + (1 - q^(1-nu)/( q+1))/(q-1)^2
                   - (1/(q-1)^2) sum_chi chi(-a) (C_chi(h,q,1) + C_chi(h,q,s2) + X_chi)
-    where s2 = n_q / gcd(n_q, q), and X_chi = -C_chi(h,q,2)/2 +
-    C_chi(h,q,2^(nu2(h)+1))/2 is the negative-g correction (identically 0
-    for odd h).  When q | D(g0) the full density subtracts
+    where s2 = n_q / gcd(n_q, q).  X_chi = -C_chi(h,q,2)/2 +
+    C_chi(h,q,2^(nu2(h)+1))/2 is the correction for negative g with even h;
+    X_chi = 0 for positive g and at every odd h.  When q | D(g0) the full
+    density subtracts
     (2/(q-1)^2) sum_chi chi(-a) C_chi(h,q,s2) * sum_b conj(chi(b)).
+    At h = 1 this is the same sum as the explicit product form of
+    Lenstra-Stevenhagen-Moree (sum_chi chi(-a) A_chi times a finite product
+    over the primes of 2D(g)), which the tests keep as its oracle.
 
     For negative g with even h the assembly follows the same convolution
     identity but that branch has no independent closed form here, so the
@@ -408,12 +359,6 @@ def _charform_pair_convolution(dec: GDecomposition, a: int, q: int, prime_cutoff
     )
 
 
-def _charform_pair(dec: GDecomposition, a: int, q: int, prime_cutoff: int):
-    if dec.h == 1:
-        return _charform_pair_generic(dec, a, q, prime_cutoff)
-    return _charform_pair_convolution(dec, a, q, prime_cutoff)
-
-
 def delta_charform(
     dec: GDecomposition, a: int, q: int, prime_cutoff: int = 10**7
 ) -> DensityValue:
@@ -445,8 +390,8 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
     """
     limit = max(cfg.t_max, cfg.n_max)
     _, phi, mu = tables(limit)
-    phi = np.asarray(phi[: limit + 1]).astype(dt)
-    mun = np.asarray(mu[1 : cfg.n_max + 1])
+    phi = phi[: limit + 1].astype(dt)
+    mun = mu[1 : cfg.n_max + 1]
     n = np.arange(1, cfg.n_max + 1).astype(dt)
     g1 = np.gcd(n, d)
     keep = (mun != 0) & (a % g1 == 0)

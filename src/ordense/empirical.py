@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "count_joint",
     "compare",
     "census_exceptional",
-    "write_orders_csv",
 ]
 
 X_LIMIT = 10**9
@@ -395,12 +394,3 @@ def census_exceptional(q: int, x: int) -> int:
             k += 1
     return int(x - np.count_nonzero(excluded[1:]))
 
-
-def write_orders_csv(records: Iterable[OrderRecord], fh: TextIO) -> int:
-    """Dump records as CSV with columns p,ord,index; returns the row count."""
-    fh.write("p,ord,index\n")
-    rows = 0
-    for rec in records:
-        fh.write(f"{rec.p},{rec.ord},{rec.index}\n")
-        rows += 1
-    return rows

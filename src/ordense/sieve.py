@@ -17,7 +17,7 @@ import numpy as np
 __all__ = ["primes_upto", "sieve_primes", "tables"]
 
 _prime_cache: dict[str, np.ndarray] = {}
-_table_cache: dict[str, tuple[int, list[int], list[int], list[int]]] = {}
+_table_cache: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -40,11 +40,11 @@ def primes_upto(limit: int) -> np.ndarray:
     return cached[: int(np.searchsorted(cached, limit, side="right"))]
 
 
-def tables(limit: int) -> tuple[list[int], list[int], list[int]]:
-    """(spf, phi, mu) lists indexed 0..limit (cached, grow-only); spf[1] = 1.
+def tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spf, phi, mu) int64 arrays indexed 0..limit or further; spf[1] = 1.
 
-    Built with numpy from primes_upto, returned as plain lists: the series
-    evaluators do scalar lookups in tight loops where list indexing is faster.
+    Cached and grow-only, so the arrays are shared and read-only.  A caller
+    doing scalar lookups in a tight loop converts its slice to a list once.
     """
     hit = _table_cache.get("t")
     if hit is not None and hit[0] >= limit:
@@ -60,6 +60,8 @@ def tables(limit: int) -> tuple[list[int], list[int], list[int]]:
         phi[p::p] -= phi[p::p] // p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    out = (limit, spf.tolist(), phi.tolist(), mu.tolist())
+    for arr in (spf, phi, mu):
+        arr.flags.writeable = False
+    out = (limit, spf, phi, mu)
     _table_cache["t"] = out
     return out[1], out[2], out[3]

@@ -229,7 +229,7 @@ def test_criterion_10_oracle_suites():
     # C_chi Euler product vs direct truncated summation (h<=4, r<=15, s<=12)
     from ordense.sieve import tables
 
-    spf, phi, _ = tables(200_000)
+    spf, phi = (x[:200_001].tolist() for x in tables(200_000)[:2])
     cases = [(3, 1, 3, 1), (3, 2, 3, 4), (3, 4, 15, 2), (5, 1, 5, 12), (7, 4, 7, 6), (9, 2, 9, 8)]
     for q, h, r, s in cases:
         for chi in character_group(q):

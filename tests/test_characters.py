@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ordense.characters
 from ordense.arith import euler_phi, factorize, moebius
 from ordense.characters import (
     a_chi,
@@ -12,6 +13,7 @@ from ordense.characters import (
     character_group,
     h_chi,
 )
+from ordense.density import TruncationConfig
 from ordense.sieve import primes_upto, tables
 
 # computed independently via a prime-zeta expansion of log A at 50 digits
@@ -38,13 +40,13 @@ def test_group_closure_and_conjugation():
     for c1 in grp:
         assert c1.conjugate() in chars
         for c2 in grp:
-            assert c1 * c2 in chars
+            # the pointwise product of two characters is the character whose
+            # index is the sum of theirs
+            prod = grp.characters[(c1.index + c2.index) % grp.phi]
+            assert np.allclose(c1.value_table() * c2.value_table(), prod.value_table())
     # principal character and power relation chi^(o_chi) = chi_0
     for c in grp:
-        acc = grp.principal
-        for _ in range(c.order):
-            acc = acc * c
-        assert acc == grp.principal
+        assert np.allclose(c.value_table() ** c.order, grp.principal.value_table())
 
 
 def test_character_values():
@@ -157,7 +159,7 @@ def test_c_chi_gcd_rs_zero(pmax):
 
 def _c_chi_direct(chi, h, r, s, vmax):
     """Truncated direct summation of the defining series, with a crude tail."""
-    spf, phi, _ = tables(vmax)
+    spf, phi = (x[: vmax + 1].tolist() for x in tables(vmax)[:2])
     total = 0j
     hval = {}
     for v in range(s, vmax + 1, s):
@@ -276,3 +278,21 @@ def test_euler_product_value_validation():
         EulerProductValue(1 + 0j, -1.0, 100)
     with pytest.raises(ValueError):
         EulerProductValue(complex("inf"), 0.0, 100)
+
+
+def test_prime_cutoff_range_checked_before_sieving(monkeypatch):
+    def boom(*args, **kw):
+        raise AssertionError("an out-of-range cutoff reached the sieve")
+
+    monkeypatch.setattr(ordense.characters, "primes_upto", boom)
+    chi = character_group(5).characters[1]
+    for cutoff, message in ((99, "at least 100"), (10**8 + 1, "<= 1e8"), (10**9, "<= 1e8")):
+        for call in (
+            lambda: a_chi(chi, cutoff),
+            lambda: a_chi(character_group(5).principal, cutoff),
+            lambda: c_chi(chi, 2, 5, 1, cutoff),
+            lambda: artin_constant(cutoff),
+            lambda: TruncationConfig(prime_cutoff=cutoff),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()

@@ -2,6 +2,7 @@ import io
 import os
 
 import ordense.characters
+import ordense.cli
 import ordense.density
 import ordense.empirical
 import ordense.sieve
@@ -199,3 +200,23 @@ def test_zero_truncation_flags_rejected(monkeypatch):
     monkeypatch.setenv("ORDENSE_PMAX", "0")
     code, _, err = _run(closed)
     assert code == 2 and ">= 1" in err
+
+
+def test_verify_refuses_cutoff_below_euler_range():
+    # every class gets a prediction or the run fails: a cutoff a_chi refuses
+    # used to drop the char-form classes and report ok
+    code, out, err = _run(["verify", "--g", "2", "--d", "3", "--x", "100000", "--pmax", "50"])
+    assert code == 2 and out == "" and "at least 100" in err
+
+
+def test_verify_evaluator_error_exits_2(monkeypatch):
+    evaluate = ordense.cli.evaluate_density
+
+    def refuse_class_1(g, a, d, *args):
+        if a == 1:
+            raise ValueError("no evaluator for this class")
+        return evaluate(g, a, d, *args)
+
+    monkeypatch.setattr(ordense.cli, "evaluate_density", refuse_class_1)
+    code, out, err = _run(["verify", "--g", "2", "--d", "3", "--x", "10000", "--pmax", "1000000"])
+    assert code == 2 and out == "" and "no evaluator" in err

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import ordense.density as density
-from ordense.arith import euler_phi, factorize, kronecker, moebius
+from ordense.arith import discriminant_sqrt, euler_phi, factorize, kronecker, moebius, nu2
+from ordense.characters import a_chi, character_group
 from ordense.decomp import decompose
 from ordense.density import (
     DensityValue,
     TruncationConfig,
+    _bsum,
     _charform_pair,
-    _charform_pair_convolution,
-    _charform_pair_generic,
     _level_q_accumulators,
     zero_class_series,
     delta_avg,
@@ -35,6 +35,11 @@ from ordense.kummer import (
 from ordense.sieve import tables
 
 CFG = TruncationConfig(t_max=600, n_max=600, v_max=30_000, prime_cutoff=10**6)
+
+
+def _table_lists(limit):
+    """(spf, phi, mu) indexed 0..limit as lists, for the scalar oracles."""
+    return [x[: limit + 1].tolist() for x in tables(limit)]
 
 
 def test_zero_class_closed_forms():
@@ -89,17 +94,87 @@ def test_series_charform_agreement():
                 assert abs(ds.value - dc.value) < ds.error_bound + dc.error_bound
 
 
+def _charform_pair_generic(dec, a: int, q: int, prime_cutoff: int):
+    """Explicit character form for exponent-free g (h = 1): (delta0, delta).
+
+    delta_g(a,q) = q^2/((q-1)(q^2-1)) - (1/(q-1)^2) * sum_chi chi(-a) A_chi
+    * (1 + eps_g(chi) * W * prod_{p | 2D'} p(chi(p)-1)/(p^3-p^2-p+chi(p)))
+    with D' = D(g) (weight W = 1) when q does not divide D(g), else
+    D' = D(g)/q and W = 1 + 2*sum_b conj(chi(b)) over (1-b|q) = -1.
+    The delta0 variant always uses W = 1.
+    """
+    disc = discriminant_sqrt(dec.g)
+    absd = abs(disc)
+    v2d = nu2(absd) if absd % 2 == 0 else 0
+    if v2d not in (0, 2, 3):
+        raise AssertionError(f"impossible discriminant 2-part {v2d}")
+    qdiv = absd % q == 0
+    plist = [p for p, _ in factorize(2 * absd) if p != q]
+    grp = character_group(q)
+    tot0 = 0j
+    tot = 0j
+    err = 0.0
+    for chi in grp:
+        av = a_chi(chi, prime_cutoff)
+        prod = 1 + 0j
+        for p in plist:
+            c = chi(p)
+            prod *= p * (c - 1) / (p**3 - p**2 - p + c)
+        if v2d == 0:
+            eps = 1 + 0j
+        elif v2d == 2:
+            eps = chi(2) / 4
+        else:
+            eps = chi(2) ** 2 / 16
+        inner0 = 1 + eps * prod
+        if qdiv:
+            inner = 1 + eps * (1 + 2 * _bsum(chi, q)) * prod
+        else:
+            inner = inner0
+        w = chi(-a)
+        tot0 += w * av.value * inner0
+        tot += w * av.value * inner
+        err += av.tail_bound * max(abs(inner0), abs(inner))
+    const = Fraction(q * q, (q - 1) * (q * q - 1))
+    scale = (q - 1) ** 2
+    err = err / scale + 1e-13
+    vals = []
+    for t in (tot0, tot):
+        if abs(t.imag) > 1e-12 * scale:
+            raise AssertionError(f"character sum has imaginary part {t.imag}")
+        vals.append(float(const) - t.real / scale)
+    return (
+        DensityValue(vals[0], err, True, "char_form"),
+        DensityValue(vals[1], err, True, "char_form"),
+    )
+
+
+# exponent-free g: D(g) with 2-part 0, 2 and 3, both signs, and q | D(g)
+# for every q of the panel (3 | D(-3), 5 | D(5), 7 | D(-7), ...)
+_GENERIC_G = (
+    *(2, 3, 5, 6, 7, 10, 11, 13, 15, 21, Fraction(1, 2), Fraction(2, 3)),
+    *(-2, -3, -5, -6, -7, -10, -11, -13, -15, -21, Fraction(-1, 2), Fraction(-3, 5)),
+)
+
+
 def test_charform_routes_agree_for_generic_g():
-    # exponent-free g admit both the explicit product form and the
-    # convolution-constant assembly; they share only the A_chi engine
-    for g in (2, 5, 6, -3, -2, 10):
+    # at h = 1 the C_chi assembly must equal the explicit product form,
+    # which shares only the A_chi engine with it
+    two_parts = set()
+    for g in _GENERIC_G:
         dec = decompose(g)
-        for q in (3, 5):
+        assert dec.h == 1, g
+        absd = abs(discriminant_sqrt(dec.g))
+        two_parts.add(nu2(absd) if absd % 2 == 0 else 0)
+        for q in (3, 5, 7, 11, 13):
             for a in range(1, q):
-                p0, p1 = _charform_pair_generic(dec, a, q, CFG.prime_cutoff)
-                c0, c1 = _charform_pair_convolution(dec, a, q, CFG.prime_cutoff)
-                assert abs(p0.value - c0.value) < 1e-10, (g, q, a)
-                assert abs(p1.value - c1.value) < 1e-10, (g, q, a)
+                ref = _charform_pair_generic(dec, a, q, CFG.prime_cutoff)
+                got = _charform_pair(dec, a, q, CFG.prime_cutoff)
+                for r, c in zip(ref, got):
+                    diff = abs(r.value - c.value)
+                    assert diff < 1e-12, (g, q, a)
+                    assert c.rigorous and diff <= c.error_bound, (g, q, a)
+    assert two_parts == {0, 2, 3}
 
 
 def test_partition_sums_to_one():
@@ -121,7 +196,7 @@ def _level_q_tail(dec, q):
 
 def _mobius_class_counts(q, v_max):
     """M_r(v) = sum over t | v with t = r (mod q) of mu(v/t), by a divisor sieve."""
-    _, _, mu = tables(v_max)
+    _, _, mu = _table_lists(v_max)
     counts = [[0] * q for _ in range(v_max + 1)]
     for t in range(1, v_max + 1):
         for v in range(t, v_max + 1, t):
@@ -133,7 +208,7 @@ def test_remark_rewrite_consistency():
     # the sqrt(q*)-restricted accumulator equals the smooth-weight rewrite
     # sum_v M_r(v) * (2/[K(qv,v):Q] - 2/((q-1)[K(v,v):Q])) over v coprime to q
     v_max = 20_000
-    _, phi, _ = tables(v_max)
+    _, phi, _ = _table_lists(v_max)
     for q in (3, 5):
         counts = _mobius_class_counts(q, v_max)
         for g in (5, -3, 27, 2):
@@ -180,7 +255,7 @@ def test_general_series_eps_copy_matches_kernel():
 
 def _kept_n(a, d, N):
     """(n, mu(n), lcm(d, n), phi(lcm(d, n))) over squarefree n <= N with gcd(n, d) | a."""
-    _, phi, mu = tables(N)
+    _, phi, mu = _table_lists(N)
     out = []
     for n in range(1, N + 1):
         g1 = math.gcd(n, d)
@@ -196,7 +271,7 @@ def _general_series_oracle(dec, a, d, T, N):
     Python ints; lo and hi are None when no coefficient is UNSUPPORTED.
     """
     a %= d
-    _, phi, _ = tables(max(T, N))
+    _, phi, _ = _table_lists(max(T, N))
     dprimes = [p for p, _ in factorize(d)]
     ns = _kept_n(a, d, N)
     total0 = total = lo = hi = 0.0
@@ -288,7 +363,7 @@ def test_general_series_memory_bounded():
 def _avg_series_oracle(a, d, T, N):
     """The scalar (t, n) loop of delta_avg's g-free series."""
     a %= d
-    _, phi, _ = tables(max(T, N))
+    _, phi, _ = _table_lists(max(T, N))
     ns = _kept_n(a, d, N)
     total = 0.0
     for t in range(1, T + 1):

@@ -1,4 +1,3 @@
-import io
 import random
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from ordense.empirical import (
     count_joint,
     count_residues,
     sieve_orders,
-    write_orders_csv,
 )
 
 HAND_ORDERS_G2 = {3: 2, 5: 4, 7: 3, 11: 10, 13: 12, 17: 8, 19: 18}
@@ -274,17 +272,6 @@ def test_census_monotone_and_thinning():
     assert census_exceptional(3, 1000) <= census_exceptional(3, 2000)
     fracs = [census_exceptional(3, x) / x for x in (10**4, 10**5, 10**6)]
     assert fracs[0] > fracs[1] > fracs[2], fracs
-
-
-def test_csv_dump():
-    buf = io.StringIO()
-    n = write_orders_csv(sieve_orders(2, 20), buf)
-    text = buf.getvalue()
-    lines = text.split("\n")
-    assert lines[0] == "p,ord,index"
-    assert n == 7
-    assert lines[1] == "3,2,1"
-    assert text.endswith("\n") and "\r" not in text
 
 
 def test_compare_self_is_exact():
