@@ -25,9 +25,12 @@ coefficients cannot be decided; the full series then returns an interval
 
 The series read their spf/phi/mu tables from ordense.sieve.tables and their
 Kummer degrees from ordense.kummer, where the correction eps (coded as the
-integer 2*eps) and the coefficients c_g are defined once.  The (t, n) double
-series evaluates its pairs as numpy arrays, in blocks of BLOCK pairs, and
-calls both kernels once per distinct key of the inputs they read.
+integer 2*eps), the sqrt(q*) condition and the coefficients c_g are defined
+once.  Both series are numpy arrays over bounded blocks: the (t, n) double
+series sums BLOCK pairs at a time, the level-q v-series a block of v with at
+most V_CELLS (v, class) cells.  Each calls the kernels once per distinct key
+of the inputs they read, and each adds its terms in the order of the scalar
+loop it replaced, so its sums are bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -41,7 +44,13 @@ import numpy as np
 from .arith import euler_phi, factorize, is_prime, kronecker, nu2, valuation
 from .characters import CharacterGroup, a_chi, c_chi, character_group, check_prime_cutoff
 from .decomp import GDecomposition, decompose, n_r
-from .kummer import UNSUPPORTED, _eps2, entanglement_coefficient, kummer_degree
+from .kummer import (
+    UNSUPPORTED,
+    _eps2,
+    entanglement_coefficient,
+    kummer_degree,
+    sqrt_qstar_in_kvv,
+)
 from .sieve import tables
 
 __all__ = [
@@ -123,16 +132,6 @@ class DensityValue:
 # helpers
 
 
-def _distinct_primes(v: int, spf: list[int]) -> list[int]:
-    out = []
-    while v > 1:
-        p = spf[v]
-        out.append(p)
-        while v % p == 0:
-            v //= p
-    return out
-
-
 def _require_odd_prime(q: int):
     if q == 2:
         raise ValueError("the modulus prime must be odd")
@@ -192,6 +191,40 @@ def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
 # the level-q v-series evaluators
 
 _level_q_cache: dict[tuple, tuple[list[float], list[float]]] = {}
+# (v, class) cells per block of the level-q v-series: a block holds at most
+# V_CELLS // max(q, 16) values of v, which also bounds its lists of
+# squarefree divisors (about 10 per v near 1e6), so memory stays flat in
+# v_max and q
+V_CELLS = 1 << 16
+
+
+def _class_counts(v: np.ndarray, q: int, spf: np.ndarray) -> np.ndarray:
+    """M[i, r] = sum over d | v[i] of mu(d) [v[i]/d = r (mod q)], exact, as float64.
+
+    Lists v[i]/d with sign mu(d) for every squarefree divisor d of every
+    v[i], taking one distinct prime of each v[i] per round, then counts the
+    quotients by class.
+    """
+    vi = np.arange(len(v))
+    quot = v.copy()
+    sign = np.ones(len(v))
+    rest = v.copy()
+    live = np.flatnonzero(rest > 1)
+    while len(live):
+        p = np.zeros(len(v), dtype=np.int64)
+        p[live] = spf[rest[live]]
+        div = live
+        while len(div):
+            rest[div] //= p[div]
+            div = div[rest[div] % p[div] == 0]
+        pe = p[vi]
+        ext = np.flatnonzero(pe)
+        vi = np.concatenate((vi, vi[ext]))
+        quot = np.concatenate((quot, quot[ext] // pe[ext]))
+        sign = np.concatenate((sign, -sign[ext]))
+        live = np.flatnonzero(rest > 1)
+    counts = np.bincount(vi * q + quot % q, weights=sign, minlength=len(v) * q)
+    return counts.reshape(len(v), q)
 
 
 def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
@@ -201,42 +234,55 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     the Moebius-weighted divisor counts M_r(v) = sum_{t|v, t=r (q)} mu(v/t)
     against the weight 1/[K(qv,v):Q] (acc1), and against the same weight
     restricted to v with sqrt(q*) in K(v,v) (acc2).
+
+    The v run in blocks of at most V_CELLS // max(q, 16) values, so no array
+    exceeds V_CELLS (v, class) cells.  The sums are exactly the scalar loop
+    over v in increasing order: M is an exact integer matrix, each
+    M_r(v) * w(v) is the one float product the loop forms, and a column
+    cumsum seeded with the running sums adds the products left to right;
+    a class with M_r(v) = 0 or a v outside the sqrt(q*) support adds a
+    signed 0.0, which leaves a running sum unchanged.  The integers are
+    int64 when all fit (the degree numerators 2(q-1)phi(v)v < 2q v_max^2,
+    the eps keys and n_1), else Python ints.
     """
     key = (dec.g, q, v_max)
     hit = _level_q_cache.get(key)
     if hit is not None:
         return hit
     spf, phi, _ = tables(v_max)
-    # list indexing is faster than numpy scalar indexing in this loop
-    spf, phi = spf[: v_max + 1].tolist(), phi[: v_max + 1].tolist()
-    neg = dec.sign < 0
     hc2 = dec.hc2
-    qdivD = dec.disc_g0 % q == 0
-    n1q = n_r(dec, 1) // q if qdivD else 0
-    acc1 = [0.0] * q
-    acc2 = [0.0] * q
-    for v in range(1, v_max + 1):
-        if v % q == 0:
-            continue
-        w1 = 1.0 / kummer_degree(dec, q * v, v, (q - 1) * phi[v])
-        has_sqrt = (
-            qdivD
-            and v % n1q == 0
-            and not (neg and v % 2 == 0 and v % hc2 != 0)
+    n1 = n_r(dec, 1)  # = n_r(dec, q), as q is odd
+    # sqrt_qstar_in_kvv(dec, q, 0, v) reads v only through v mod n_1/q (when
+    # q | D(g0)) and v mod hc2, both fixed by gcd(v, lcm(n_1, hc2))
+    sq_mod = math.lcm(n1, hc2)
+    dt = _int_dtype(max(2 * q * v_max**2, (q * v_max + 1) * (hc2 + 1), sq_mod))
+    eps_memo: dict[int, int] = {}
+    sq_memo: dict[int, int] = {}
+    acc1 = np.zeros(q)
+    acc2 = np.zeros(q)
+    block = max(1, V_CELLS // max(q, 16))
+    for v0 in range(1, v_max + 1, block):
+        vs = np.arange(v0, min(v0 + block, v_max + 1))
+        vs = vs[vs % q != 0]
+        v = vs.astype(dt)
+        # _eps2(dec, q v, v) reads q v mod n_q = n_1 and v mod hc2
+        eps_key = np.gcd(q * v, n1) * (hc2 + 1) + np.gcd(v, hc2)
+        eps2 = _per_key(eps_key, eps_memo, lambda k: _eps2(dec, q * int(v[k]), int(v[k])))
+        num = 2 * (q - 1) * phi[vs].astype(dt) * v
+        den = eps2 * np.gcd(v, dec.h)
+        bad = np.flatnonzero(num % den)
+        if len(bad):
+            k = int(vs[bad[0]])
+            raise AssertionError(f"non-integral Kummer degree at kr={q * k}, k={k}")
+        w1 = np.asarray(1.0 / (num // den), dtype=np.float64)
+        has_sqrt = _per_key(
+            np.gcd(v, sq_mod), sq_memo, lambda k: sqrt_qstar_in_kvv(dec, q, 0, int(v[k]))
         )
-        counts = [0] * q
-        divs = [(1, 1)]
-        for p in _distinct_primes(v, spf):
-            divs += [(d0 * p, -s0) for d0, s0 in divs]
-        for d0, s0 in divs:
-            counts[(v // d0) % q] += s0
-        for r in range(q):
-            cnt = counts[r]
-            if cnt:
-                acc1[r] += cnt * w1
-                if has_sqrt:
-                    acc2[r] += cnt * w1
-    out = (acc1, acc2)
+        w2 = np.where(has_sqrt == 1, w1, 0.0)
+        counts = _class_counts(vs, q, spf)
+        acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
+        acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
+    out = (acc1.tolist(), acc2.tolist())
     _level_q_cache[key] = out
     return out
 

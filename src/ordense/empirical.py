@@ -349,18 +349,19 @@ def compare(g: Fraction | int, d: int, x: int, analytic, **kw) -> CompareReport:
     analytic maps class -> predicted density (a dict, or a sequence indexed
     by class; entries may be floats or objects with a .value attribute).
     A class fails when |frequency - predicted| exceeds
-    max(0.002, 3/sqrt(primes_considered)).
+    max(0.002, 3/sqrt(primes_considered)).  Raises ValueError, before
+    counting, when a class mod d has no prediction.
     """
-    table = count_residues(g, d, x, **kw)
-    tol = max(0.002, 3.0 / math.sqrt(table.primes_considered))
     if not isinstance(analytic, dict):
         analytic = dict(enumerate(analytic))
+    missing = [a for a in range(d) if analytic.get(a) is None]
+    if missing:
+        raise ValueError(f"no prediction for the classes {missing} mod {d}")
+    table = count_residues(g, d, x, **kw)
+    tol = max(0.002, 3.0 / math.sqrt(table.primes_considered))
     report = CompareReport(Fraction(g), d, x, table.primes_considered, tol)
     for a in range(d):
-        pred = analytic.get(a)
-        if pred is None:
-            continue
-        pred = getattr(pred, "value", pred)
+        pred = getattr(analytic[a], "value", analytic[a])
         freq = table.frequency(a)
         dev = abs(freq - pred)
         report.rows.append((a, table.counts.get(a, 0), freq, pred, dev, dev <= tol))

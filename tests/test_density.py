@@ -8,7 +8,7 @@ import pytest
 import ordense.density as density
 from ordense.arith import discriminant_sqrt, euler_phi, factorize, kronecker, moebius, nu2
 from ordense.characters import a_chi, character_group
-from ordense.decomp import decompose
+from ordense.decomp import decompose, n_r
 from ordense.density import (
     DensityValue,
     TruncationConfig,
@@ -225,6 +225,106 @@ def test_remark_rewrite_consistency():
             _, acc2 = _level_q_accumulators(dec, q, v_max)
             for r in range(q):
                 assert abs(acc2[r] - smooth[r]) < 1e-12, (g, q, r)
+
+
+def _level_q_oracle(dec, q, v_max):
+    """The scalar v loop of the level-q accumulators: (acc1, acc2).
+
+    One kummer_degree call per v, its squarefree divisors listed from spf,
+    and the sqrt(q*) condition written out, summed in increasing v.
+    """
+    spf, phi, _ = _table_lists(v_max)
+    neg = dec.sign < 0
+    hc2 = dec.hc2
+    qdivD = dec.disc_g0 % q == 0
+    n1q = n_r(dec, 1) // q if qdivD else 0
+    acc1 = [0.0] * q
+    acc2 = [0.0] * q
+    for v in range(1, v_max + 1):
+        if v % q == 0:
+            continue
+        w1 = 1.0 / kummer_degree(dec, q * v, v, (q - 1) * phi[v])
+        has_sqrt = qdivD and v % n1q == 0 and not (neg and v % 2 == 0 and v % hc2 != 0)
+        counts = [0] * q
+        divs = [(1, 1)]
+        rest = v
+        while rest > 1:
+            p = spf[rest]
+            divs += [(d0 * p, -s0) for d0, s0 in divs]
+            while rest % p == 0:
+                rest //= p
+        for d0, s0 in divs:
+            counts[(v // d0) % q] += s0
+        for r in range(q):
+            cnt = counts[r]
+            if cnt:
+                acc1[r] += cnt * w1
+                if has_sqrt:
+                    acc2[r] += cnt * w1
+    return acc1, acc2
+
+
+_LEVEL_Q_G = (2, -2, -3, 4, -4, 5, 8, -8, 9, 12, Fraction(1, 2), -27)
+
+
+def _fresh_accumulators(dec, q, v_max, monkeypatch):
+    monkeypatch.setattr(density, "_level_q_cache", {})
+    return _level_q_accumulators(dec, q, v_max)
+
+
+def test_level_q_matches_scalar_oracle(monkeypatch):
+    # every class of both accumulators, exactly: the blocks sum in v order
+    for g in _LEVEL_Q_G:
+        dec = decompose(g)
+        for q in (3, 5, 7, 11, 13):
+            for v_max in (1, 2, 100, 5000):
+                want = _level_q_oracle(dec, q, v_max)
+                assert _fresh_accumulators(dec, q, v_max, monkeypatch) == want, (g, q, v_max)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_level_q_small_blocks(monkeypatch, rows):
+    # blocks of 1 and 7 values of v, some of them left empty by v = 0 (mod q)
+    for g in _LEVEL_Q_G:
+        dec = decompose(g)
+        for q in (3, 5, 7, 11, 13):
+            monkeypatch.setattr(density, "V_CELLS", rows * max(q, 16))
+            want = _level_q_oracle(dec, q, 150)
+            assert _fresh_accumulators(dec, q, 150, monkeypatch) == want, (rows, g, q)
+
+
+def test_level_q_exact_beyond_int64(monkeypatch):
+    # n_1 has 93 to 96 bits here, so the eps and sqrt(q*) keys need Python
+    # ints; q | D(g0) for the first two
+    big = Fraction(2**61 - 1, 2**31 - 1)
+    for g, q in ((3 * big, 3), (-3 * big, 3), (big, 5), (-big, 7)):
+        dec = decompose(g)
+        assert n_r(dec, 1) >= 1 << 63
+        want = _level_q_oracle(dec, q, 3000)
+        assert _fresh_accumulators(dec, q, 3000, monkeypatch) == want, g
+
+
+def test_level_q_large_modulus(monkeypatch):
+    # blocks of 64 values of v against 1009 classes
+    for g in (2, -3):
+        dec = decompose(g)
+        want = _level_q_oracle(dec, 1009, 2000)
+        assert _fresh_accumulators(dec, 1009, 2000, monkeypatch) == want, g
+
+
+def test_level_q_memory_bounded(monkeypatch):
+    # whole-range lists of spf and phi at v_max = 1e6 would take tens of MB;
+    # the blocks keep the peak of the Python heap under 4 MB, also at
+    # q = 13, the prime with the most (v, class) cells per block
+    tables(10**6)
+    monkeypatch.setattr(density, "_level_q_cache", {})
+    tracemalloc.start()
+    try:
+        _level_q_accumulators(decompose(2), 13, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_general_series_eps_copy_matches_kernel():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -288,3 +289,13 @@ def test_compare_flags_bad_prediction():
     d = rep.to_dict()
     assert d["classes"][0]["predicted"] == 0.9
     assert not d["classes"][0]["ok"]
+
+
+@pytest.mark.parametrize(
+    "analytic, missing",
+    [({0: 0.375}, "[1, 2]"), ({0: 0.375, 1: None, 2: 0.3}, "[1]"), ([0.375], "[1, 2]")],
+)
+def test_compare_refuses_missing_classes(analytic, missing):
+    # a class without a prediction used to be dropped, with the report still ok
+    with pytest.raises(ValueError, match=re.escape(f"classes {missing} mod 3")):
+        compare(2, 3, 10_000, analytic)
