@@ -305,7 +305,7 @@ def test_level_q_exact_beyond_int64(monkeypatch):
 
 
 def test_level_q_large_modulus(monkeypatch):
-    # blocks of 64 values of v against 1009 classes
+    # blocks of 16 values of v against 1009 classes
     for g in (2, -3):
         dec = decompose(g)
         want = _level_q_oracle(dec, 1009, 2000)
@@ -314,8 +314,8 @@ def test_level_q_large_modulus(monkeypatch):
 
 def test_level_q_memory_bounded(monkeypatch):
     # whole-range lists of spf and phi at v_max = 1e6 would take tens of MB;
-    # the blocks keep the peak of the Python heap under 4 MB, also at
-    # q = 13, the prime with the most (v, class) cells per block
+    # the blocks keep the peak of the Python heap under 4 MB (q = 13 fills
+    # more cells per block than q = 3)
     tables(10**6)
     monkeypatch.setattr(density, "_level_q_cache", {})
     tracemalloc.start()
