@@ -230,8 +230,9 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     against the weight 1/[K(qv,v):Q] (acc1), and against the same weight
     restricted to v with sqrt(q*) in K(v,v) (acc2).
 
-    The v run in blocks of at most V_CELLS // max(q, 16) values, so no array
-    exceeds V_CELLS (v, class) cells.  The sums are exactly the scalar loop
+    The v run in blocks of at most V_CELLS // max(q, 16) values, so a
+    block's (v, class) matrix has at most V_CELLS cells (q cells when q
+    exceeds V_CELLS).  The sums are exactly the scalar loop
     over v in increasing order: M is an exact integer matrix, each
     M_r(v) * w(v) is the one float product the loop forms, and a column
     cumsum seeded with the running sums adds the products left to right;
