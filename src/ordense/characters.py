@@ -52,6 +52,7 @@ __all__ = [
 
 _TAIL_CONST = 5.2  # 2 * 1.021 * 2.52, see module docstring
 _CHUNK = 1 << 16
+DEFAULT_PRIME_CUTOFF = 10**7
 # largest prime cutoff accepted: the sieve holds one byte per integer up to
 # it; 1e8 is also the census's bound
 _PRIME_CUTOFF_LIMIT = 10**8
@@ -229,7 +230,9 @@ def _tail_factor(prime_cutoff: int) -> float:
 _euler_cache: dict[tuple, EulerProductValue] = {}
 
 
-def a_chi(chi: DirichletCharacter, prime_cutoff: int = 10**7) -> EulerProductValue:
+def a_chi(
+    chi: DirichletCharacter, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
+) -> EulerProductValue:
     """Partial product for A_chi over primes <= prime_cutoff.
 
     The principal character gives exactly 1 (every factor is 1).
@@ -281,7 +284,7 @@ def c_chi(
     h: int,
     r: int,
     s: int,
-    prime_cutoff: int = 10**7,
+    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
 ) -> EulerProductValue:
     """Partial Euler product for C_chi(h, r, s) with a rigorous tail bound.
 
@@ -319,7 +322,7 @@ def c_chi(
     return out
 
 
-def artin_constant(prime_cutoff: int = 10**7) -> EulerProductValue:
+def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """Artin's constant prod_p (1 - 1/(p(p-1))) over primes <= prime_cutoff."""
     check_prime_cutoff(prime_cutoff)
     p = primes_upto(prime_cutoff).astype(np.float64)

@@ -34,7 +34,7 @@ from .density import (
     delta_joint_one_mod_q,
     evaluate_density,
 )
-from .empirical import census_exceptional, compare, count_joint
+from .empirical import census_exceptional, check_x, compare, count_joint
 from .kummer import UNSUPPORTED, entanglement_coefficient, kummer_degree
 
 SCHEMA = 1
@@ -155,6 +155,7 @@ def _cmd_verify(args, cfg) -> dict:
     g = _parse_g(args.g)
     if args.d < 2 or args.x < 2:
         raise _CliError("need d >= 2 and x >= 2")
+    check_x(args.x)
     if args.d1 is None:
         analytic = {a: evaluate_density(g, a, args.d, "auto", cfg) for a in range(args.d)}
         report = compare(g, args.d, args.x, analytic)

@@ -42,7 +42,14 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import euler_phi, factorize, is_prime, kronecker, nu2, valuation
-from .characters import CharacterGroup, a_chi, c_chi, character_group, check_prime_cutoff
+from .characters import (
+    DEFAULT_PRIME_CUTOFF,
+    CharacterGroup,
+    a_chi,
+    c_chi,
+    character_group,
+    check_prime_cutoff,
+)
 from .decomp import GDecomposition, decompose, n_r
 from .kummer import UNSUPPORTED, _eps2, entanglement_coefficient, kummer_degree, sqrt_qstar_in_kvv
 from .sieve import tables
@@ -78,7 +85,7 @@ class TruncationConfig:
     t_max: int = 10_000
     n_max: int = 10_000
     v_max: int = 100_000
-    prime_cutoff: int = 10_000_000
+    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 
     def __post_init__(self):
         if min(self.t_max, self.n_max, self.v_max, self.prime_cutoff) < 1:
@@ -402,7 +409,7 @@ def _charform_pair(dec: GDecomposition, a: int, q: int, prime_cutoff: int):
 
 
 def delta_charform(
-    dec: GDecomposition, a: int, q: int, prime_cutoff: int = 10**7
+    dec: GDecomposition, a: int, q: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> DensityValue:
     """delta_g(a, q) for q not dividing a, via character constants."""
     _require_odd_prime(q)

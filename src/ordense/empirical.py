@@ -6,15 +6,14 @@ factors l of p - 1: each l is stripped from the exponent while
 g^(E/l) = 1 (mod p), and the stripped factors make up the index
 (p - 1) / ord.
 
-The factor sieve runs in segments (default 2^24; a segment_size >= x sieves
-the whole range as one segment) and refuses segments that would not fit in
-memory.  Its base primes come from the package's one sieve,
-ordense.sieve.primes_upto.  It leaves, per segment, the primes, the flat
-list of their factors and the bounds of each prime's slice of that list.
-Factorizations of p - 1 are independent of g and are cached, so counting
-runs for several g over the same x pay the sieve cost once.  The census
-takes its primes from the same sieve uncached (sieve_primes), so they are
-freed on return.
+The factor sieve runs in segments of SEGMENT numbers, and x is refused
+beyond X_LIMIT.  Each segment's primes come from the package's one sieve,
+ordense.sieve.sieve_primes, and the primes dividing p - 1 from its cached
+primes_upto.  It leaves, per segment, the primes, the flat list of their
+factors and the bounds of each prime's slice of that list.  Factorizations
+of p - 1 are independent of g and are cached, so counting runs for several
+g over the same x pay the sieve cost once.  The census takes its primes
+from the same sieve uncached (sieve_primes), so they are freed on return.
 
 The orders are computed by one numpy kernel over blocks of BLOCK primes of a
 segment, so its temporaries stay bounded at any segment size.  It reduces g
@@ -48,9 +47,8 @@ __all__ = [
 ]
 
 X_LIMIT = 10**9
-DEFAULT_SEGMENT = 1 << 24
-# largest segment, in numbers sieved at once, that fits the memory budget
-SEGMENT_LIMIT = 1 << 27
+# numbers per segment of the factor sieve: bounds its arrays at any x
+SEGMENT = 1 << 24
 # primes per kernel block: bounds the kernel's temporaries at any segment size
 BLOCK = 1 << 14
 _BITS = 30
@@ -86,30 +84,22 @@ class CountTable:
 def _segment_factored(lo: int, hi: int, base: np.ndarray):
     """Primes p in [lo, hi) with the distinct prime factors of each p - 1.
 
-    Returns (primes list, factor lists).  Works over the window
-    [lo-1, hi): a segmented sieve finds the primes, then every base prime s
-    collects which p - 1 it divides, and division chains expose the single
-    factor exceeding sqrt(hi) if present.
+    Returns (primes list, factor lists).  The one sieve finds the primes;
+    then, over the window [lo-1, hi), every base prime s collects which
+    p - 1 it divides, and division chains expose the single factor
+    exceeding sqrt(hi) if present.
     """
-    wlo = lo - 1
-    n = hi - wlo
-    prime = np.ones(n, dtype=bool)
-    for s in base:
-        s = int(s)
-        if s * s >= hi:
-            break
-        start = max(s * s, ((wlo + s - 1) // s) * s)
-        prime[start - wlo :: s] = False
-    prime[: max(0, 2 - wlo)] = False
-    offsets = np.flatnonzero(prime)
-    pvals = offsets + wlo
-    pvals = pvals[pvals >= lo]
+    pvals = sieve_primes(hi - 1, lo)
     if len(pvals) == 0:
         empty = np.empty(0, dtype=np.int64)
         return pvals, empty, np.zeros(1, dtype=np.int64)
     # factor the p-1 window values
+    wlo = lo - 1
+    n = hi - wlo
     tpos = pvals - 1 - wlo
-    tid = np.full(n, -1, dtype=np.int64)
+    # index of each prime at position p - 1 - wlo, else -1; int32 suffices
+    # (a segment holds far fewer than 2^31 numbers) and halves this largest array
+    tid = np.full(n, -1, dtype=np.int32)
     tid[tpos] = np.arange(len(tpos))
     rem = (pvals - 1).copy()
     pair_t: list[np.ndarray] = []
@@ -144,25 +134,23 @@ def _segment_factored(lo: int, hi: int, base: np.ndarray):
 _factored_cache: dict = {"key": None, "chunks": None}
 
 
-def _factored_chunks(x: int, segment_size: int):
-    """Cached list of (primes, factor lists) segment chunks covering [2, x]."""
+def check_x(x: int) -> None:
+    """Refuse an x beyond X_LIMIT before anything is sieved."""
     if x > X_LIMIT:
         raise ValueError(f"x beyond the supported range {X_LIMIT}")
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
-    if min(segment_size, x) > SEGMENT_LIMIT:
-        raise ValueError(
-            f"a segment of {min(segment_size, x)} numbers exceeds the memory "
-            f"budget ({SEGMENT_LIMIT}); use a smaller segment_size"
-        )
-    key = (x, segment_size)
+
+
+def _factored_chunks(x: int):
+    """Cached list of (primes, factor lists) segment chunks covering [2, x]."""
+    check_x(x)
+    key = (x, SEGMENT)
     if _factored_cache["key"] == key:
         return _factored_cache["chunks"]
     base = primes_upto(math.isqrt(x) + 1)
     chunks = []
     lo = 2
     while lo <= x:
-        hi = min(lo + segment_size, x + 1)
+        hi = min(lo + SEGMENT, x + 1)
         chunks.append(_segment_factored(lo, hi, base))
         lo = hi
     _factored_cache["key"] = key
@@ -170,18 +158,13 @@ def _factored_chunks(x: int, segment_size: int):
     return chunks
 
 
-def sieve_orders(
-    g: Fraction | int,
-    x: int,
-    segment_size: int = DEFAULT_SEGMENT,
-) -> Iterator[OrderRecord]:
+def sieve_orders(g: Fraction | int, x: int) -> Iterator[OrderRecord]:
     """Stream one OrderRecord per prime p <= x with nu_p(g) = 0.
 
-    The output does not depend on segment_size.  g may be any rational other
-    than -1, 0, 1, of any size.
+    g may be any rational other than -1, 0, 1, of any size.
     """
     g = _check_g(g)
-    for p, o in _orders(g, x, segment_size):
+    for p, o in _orders(g, x):
         for pi, oi, ii in zip(p.tolist(), o.tolist(), ((p - 1) // o).tolist()):
             yield OrderRecord(pi, oi, ii)
 
@@ -193,9 +176,9 @@ def _check_g(g) -> Fraction:
     return g
 
 
-def _orders(g: Fraction, x, segment_size):
+def _orders(g: Fraction, x):
     """(primes, orders) array pairs, one per kernel block, over p <= x with nu_p(g) = 0."""
-    for pvals, fcat, bounds in _factored_chunks(x, segment_size):
+    for pvals, fcat, bounds in _factored_chunks(x):
         for i0 in range(0, len(pvals), BLOCK):
             i1 = min(i0 + BLOCK, len(pvals))
             lo, hi = bounds[i0], bounds[i1]
@@ -258,31 +241,20 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         base = base * base % mod
 
 
-def count_residues(
-    g: Fraction | int,
-    d: int,
-    x: int,
-    segment_size: int = DEFAULT_SEGMENT,
-) -> CountTable:
+def count_residues(g: Fraction | int, d: int, x: int) -> CountTable:
     """Counts of ord_p(g) mod d over primes p <= x with nu_p(g) = 0."""
     if d < 1:
         raise ValueError("d must be positive")
     g = _check_g(g)
     excluded = _count_excluded(g, x)
     counts = np.zeros(d, dtype=np.int64)
-    for _, o in _orders(g, x, segment_size):
+    for _, o in _orders(g, x):
         counts += np.bincount(o % d, minlength=d)
     considered = int(counts.sum())
     return CountTable(x, d, None, dict(enumerate(counts.tolist())), considered, excluded)
 
 
-def count_joint(
-    g: Fraction | int,
-    d1: int,
-    d2: int,
-    x: int,
-    segment_size: int = DEFAULT_SEGMENT,
-) -> CountTable:
+def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
     """Joint counts keyed by (p mod d1, ord_p(g) mod d2); only keys that occur."""
     if d1 < 1 or d2 < 1:
         raise ValueError("moduli must be positive")
@@ -292,7 +264,7 @@ def count_joint(
     # unchanged and both classes fit one int64 key
     m1, m2 = min(d1, 1 << _BITS), min(d2, 1 << _BITS)
     counts: dict = {}
-    for p, o in _orders(g, x, segment_size):
+    for p, o in _orders(g, x):
         keys, cnts = np.unique((p % m1) << _BITS | o % m2, return_counts=True)
         for k, c in zip(keys.tolist(), cnts.tolist()):
             key = (k >> _BITS, k & _MASK)
@@ -343,21 +315,24 @@ class CompareReport:
         }
 
 
-def compare(g: Fraction | int, d: int, x: int, analytic, **kw) -> CompareReport:
+def compare(g: Fraction | int, d: int, x: int, analytic) -> CompareReport:
     """Count ord classes mod d up to x and compare with analytic densities.
 
     analytic maps class -> predicted density (a dict, or a sequence indexed
     by class; entries may be floats or objects with a .value attribute).
     A class fails when |frequency - predicted| exceeds
     max(0.002, 3/sqrt(primes_considered)).  Raises ValueError, before
-    counting, when a class mod d has no prediction.
+    counting, when a class mod d has no prediction, and after counting when
+    no prime p <= x has nu_p(g) = 0.
     """
     if not isinstance(analytic, dict):
         analytic = dict(enumerate(analytic))
     missing = [a for a in range(d) if analytic.get(a) is None]
     if missing:
         raise ValueError(f"no prediction for the classes {missing} mod {d}")
-    table = count_residues(g, d, x, **kw)
+    table = count_residues(g, d, x)
+    if not table.primes_considered:
+        raise ValueError(f"no prime p <= {x} has nu_p(g) = 0 for g = {Fraction(g)}")
     tol = max(0.002, 3.0 / math.sqrt(table.primes_considered))
     report = CompareReport(Fraction(g), d, x, table.primes_considered, tol)
     for a in range(d):

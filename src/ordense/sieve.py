@@ -1,11 +1,13 @@
 """The package's one prime sieve and the arithmetic tables built from it.
 
-primes_upto serves the Euler products (characters) and the base primes of
-the p - 1 factor sieve (empirical); tables serves the Kummer series
-(density).  Both caches grow to the largest limit asked for and are never
-trimmed, so a smaller request is a slice of what is already held.  The
-census (empirical) needs every prime up to its x only once, so it calls the
-uncached sieve_primes and its primes are freed on return.
+sieve_primes finds the primes in a window [lo, hi]; primes_upto caches its
+primes up to a limit for the Euler products (characters) and the base
+primes of the p - 1 factor sieve (empirical), and tables serves the Kummer
+series (density).  Both caches grow to the largest limit asked for and are
+never trimmed, so a smaller request is a slice of what is already held.
+The census (empirical) needs every prime up to its x only once, and each
+segment of the p - 1 factor sieve (empirical) needs only its own window, so
+both call the uncached sieve_primes and own what it returns.
 """
 
 from __future__ import annotations
@@ -20,14 +22,22 @@ _prime_cache: dict[str, np.ndarray] = {}
 _table_cache: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, uncached: the caller owns it."""
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+def sieve_primes(hi: int, lo: int = 2) -> np.ndarray:
+    """The primes in [lo, hi] as an int64 array, uncached: the caller owns it.
+
+    Crosses off, over the window alone, the multiples of the primes up to
+    sqrt(hi), which it finds by sieving [2, sqrt(hi)] the same way.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return np.empty(0, dtype=np.int64)
+    prime = np.ones(hi - lo + 1, dtype=bool)
+    for s in sieve_primes(math.isqrt(hi)).tolist():
+        start = max(s * s, -(-lo // s) * s)
+        prime[start - lo :: s] = False
+    primes = np.flatnonzero(prime).astype(np.int64, copy=False)
+    primes += lo
+    return primes
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -43,8 +53,7 @@ def primes_upto(limit: int) -> np.ndarray:
 def tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(spf, phi, mu) int64 arrays indexed 0..limit or further; spf[1] = 1.
 
-    Cached and grow-only, so the arrays are shared and read-only.  A caller
-    doing scalar lookups in a tight loop converts its slice to a list once.
+    Cached and grow-only, so the arrays are shared and read-only.
     """
     hit = _table_cache.get("t")
     if hit is not None and hit[0] >= limit:

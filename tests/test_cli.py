@@ -220,3 +220,11 @@ def test_verify_evaluator_error_exits_2(monkeypatch):
     monkeypatch.setattr(ordense.cli, "evaluate_density", refuse_class_1)
     code, out, err = _run(["verify", "--g", "2", "--d", "3", "--x", "10000", "--pmax", "1000000"])
     assert code == 2 and out == "" and "no evaluator" in err
+
+
+def test_verify_without_a_coprime_prime_exits_2():
+    # every prime <= x divides g: this used to end in a ZeroDivisionError
+    for g, x in (("2", "2"), ("6", "3")):
+        code, out, err = _run(["verify", "--g", g, "--d", "3", "--x", x, "--pmax", "1000000"])
+        assert code == 2 and out == "", (g, x)
+        assert err == f"error: no prime p <= {x} has nu_p(g) = 0 for g = {g}\n"

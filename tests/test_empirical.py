@@ -1,9 +1,11 @@
+import io
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import ordense.cli as cli
 import ordense.empirical as emp
 import ordense.sieve as sieve
 from ordense.arith import factorize, squarefree_kernel
@@ -94,34 +96,51 @@ def test_joint_zero_class_forces_one_mod_q():
             assert a1 == 1
 
 
-def test_segmented_equals_monolithic():
-    # one segment (segment_size >= x), 2^14-wide segments, the default size
-    a = count_residues(2, 3, 100_000, segment_size=100_000)
-    emp._factored_cache["key"] = None
-    b = count_residues(2, 3, 100_000, segment_size=1 << 14)
+def test_segmented_equals_monolithic(monkeypatch):
+    # the default size, one segment (SEGMENT = x), 2^14-wide segments; the
+    # chunk cache is keyed on SEGMENT, so each size sieves afresh
+    c = count_residues(2, 3, 100_000)
+    monkeypatch.setattr(emp, "SEGMENT", 100_000)
+    a = count_residues(2, 3, 100_000)
+    monkeypatch.setattr(emp, "SEGMENT", 1 << 14)
+    b = count_residues(2, 3, 100_000)
     assert a.counts == b.counts
     assert a.primes_considered == b.primes_considered
-    emp._factored_cache["key"] = None
-    c = count_residues(2, 3, 100_000)
     assert a.counts == c.counts
 
 
-def test_monolithic_memory_guard(monkeypatch):
-    def no_sieve(*args):
-        raise AssertionError("sieved past the memory guard")
+def test_chunks_hold_every_prime_and_factor(monkeypatch):
+    # the scalar oracle reads these same chunks, so it cannot see a prime
+    # or a factor of p - 1 lost at a segment edge
+    monkeypatch.setattr(emp, "SEGMENT", 997)
+    chunks = emp._factored_chunks(10**5)
+    assert len(chunks) > 100
+    primes = [p for pvals, _, _ in chunks for p in pvals.tolist()]
+    assert primes == sieve.primes_upto(10**5).tolist()
+    for pvals, fcat, bounds in chunks:
+        for i, p in enumerate(pvals.tolist()):
+            ells = fcat[bounds[i] : bounds[i + 1]].tolist()
+            assert sorted(ells) == sorted(factorize(p - 1).primes), p
 
-    monkeypatch.setattr(emp, "_segment_factored", no_sieve)
-    big = emp.SEGMENT_LIMIT + 1
-    with pytest.raises(ValueError, match="memory budget"):
-        count_residues(2, 3, big, segment_size=big)
-    with pytest.raises(ValueError, match="memory budget"):
-        count_joint(2, 3, 3, 10**9, segment_size=10**9)
-    with pytest.raises(ValueError, match="memory budget"):
-        list(sieve_orders(2, big, segment_size=10**9))
-    with pytest.raises(ValueError, match="positive"):
-        count_residues(2, 3, 100, segment_size=0)
-    with pytest.raises(ValueError):
-        count_residues(2, 3, emp.X_LIMIT + 1)
+
+def test_x_beyond_limit_refused_before_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("worked before refusing x")
+
+    monkeypatch.setattr(emp, "_segment_factored", no_work)
+    monkeypatch.setattr(cli, "evaluate_density", no_work)
+    big = emp.X_LIMIT + 1
+    with pytest.raises(ValueError, match="supported range"):
+        count_residues(2, 3, big)
+    with pytest.raises(ValueError, match="supported range"):
+        count_joint(2, 3, 3, big)
+    with pytest.raises(ValueError, match="supported range"):
+        list(sieve_orders(2, big))
+    for extra in ([], ["--d1", "3"]):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["verify", "--g", "2", "--d", "5", "--x", str(big), *extra]
+        assert cli.run(argv, out, err) == 2, extra
+        assert out.getvalue() == "" and "supported range" in err.getvalue()
 
 
 def test_g_validation():
@@ -146,10 +165,10 @@ def test_oversized_g_rejected_before_sieving(monkeypatch):
         count_joint(Fraction(1, 2**64), 3, 3, 10**6)
 
 
-def _scalar_orders(g, x, segment_size=emp.DEFAULT_SEGMENT):
+def _scalar_orders(g, x):
     """Reference (p, ord, index) triples: one Python pow per prime and factor."""
     num, den = g.numerator, g.denominator
-    for pvals, fcat, bounds in emp._factored_chunks(x, segment_size):
+    for pvals, fcat, bounds in emp._factored_chunks(x):
         plist = pvals.tolist()
         flat = fcat.tolist()
         blist = bounds.tolist()
@@ -179,7 +198,7 @@ def oracle():
 
 
 # many segments each inside one block; odd segments cut into ragged blocks;
-# one segment (segment_size = x) of two blocks, the second partial
+# one segment (SEGMENT = x) of two blocks, the second partial
 @pytest.mark.parametrize(
     "size,block",
     [
@@ -189,19 +208,20 @@ def oracle():
     ],
 )
 def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
+    monkeypatch.setattr(emp, "SEGMENT", size)
     monkeypatch.setattr(emp, "BLOCK", block)
     for g, ref in oracle.items():
-        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X, size)]
+        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X)]
         assert recs == ref, g
         if g in ORACLE_BIG_G:
             continue
-        tab = count_residues(g, 12, ORACLE_X, size)
+        tab = count_residues(g, 12, ORACLE_X)
         want = {a: 0 for a in range(12)}
         for _, o, _ in ref:
             want[o % 12] += 1
         assert tab.counts == want, g
         assert tab.primes_considered == len(ref)
-        jt = count_joint(g, 4, 3, ORACLE_X, size)
+        jt = count_joint(g, 4, 3, ORACLE_X)
         want = {}
         for p, o, _ in ref:
             want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
@@ -299,3 +319,10 @@ def test_compare_refuses_missing_classes(analytic, missing):
     # a class without a prediction used to be dropped, with the report still ok
     with pytest.raises(ValueError, match=re.escape(f"classes {missing} mod 3")):
         compare(2, 3, 10_000, analytic)
+
+
+@pytest.mark.parametrize("g, x", [(2, 2), (6, 3), (Fraction(1, 6), 4)])
+def test_compare_refuses_x_without_a_coprime_prime(g, x):
+    # the tolerance 3/sqrt(primes_considered) used to divide by zero
+    with pytest.raises(ValueError, match=re.escape(f"p <= {x} has nu_p(g) = 0 for g = {g}")):
+        compare(g, 3, x, [0.375, 0.3, 0.325])

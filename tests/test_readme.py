@@ -1,7 +1,10 @@
 import ast
+import io
 import re
 from fractions import Fraction
 from pathlib import Path
+
+from ordense.cli import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +35,20 @@ def test_readme_quick_start_runs():
     # the values the comments state exactly
     assert value_of("delta_g_zero_class") == Fraction(3, 8)
     assert value_of("kummer_degree") == 4
+
+
+def _command_lines():
+    (block,) = re.findall(r"## Command line\n.*?```\n(.*?)```", README.read_text(), re.S)
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("ordense ")]
+
+
+def test_readme_command_lines_run():
+    commands = _command_lines()
+    assert len(commands) == 9
+    outputs = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out, err) == 0, (argv, err.getvalue())
+        outputs.append(out.getvalue())
+    # the value the block states for its first line
+    assert '"value":0.375' in outputs[0] and '"exact":"3/8"' in outputs[0]
