@@ -161,6 +161,7 @@ def _cmd_verify(args, cfg) -> dict:
         report = compare(g, args.d, args.x, analytic)
         return report.to_dict()
     table = count_joint(g, args.d1, args.d, args.x)
+    considered = table.require_primes()
     dec = decompose(g)
     rows = []
     for (a1, a2), cnt in sorted(table.counts.items()):
@@ -168,7 +169,7 @@ def _cmd_verify(args, cfg) -> dict:
             "p_class": a1,
             "ord_class": a2,
             "count": cnt,
-            "frequency": cnt / table.primes_considered,
+            "frequency": cnt / considered,
         }
         pred = _joint_prediction(dec, args.d1, args.d, a1, a2)
         if pred is not None:
@@ -179,7 +180,7 @@ def _cmd_verify(args, cfg) -> dict:
         "d1": args.d1,
         "d": args.d,
         "x": args.x,
-        "primes_considered": table.primes_considered,
+        "primes_considered": considered,
         "classes": rows,
     }
 

@@ -17,10 +17,12 @@ from the same sieve uncached (sieve_primes), so they are freed on return.
 
 The orders are computed by one numpy kernel over blocks of BLOCK primes of a
 segment, so its temporaries stay bounded at any segment size.  It reduces g
-mod p once (inverting a denominator by Fermat), then runs masked
-square-and-multiply rounds over the (p, l) pairs still being stripped.  Every
-residue is below 2^30, so products stay below 2^60 and the int64 arithmetic
-is exact.  sieve_orders, count_residues and count_joint all read its arrays.
+mod p once (inverting a denominator by Fermat) and tables g^0 .. g^7 mod p
+per prime; then each round of stripping takes one left-to-right power with
+3-bit windows (WINDOW) for every (p, l) pair still being stripped, reading
+its prime's table row.  Every residue is below 2^30, so products stay below
+2^60 and the int64 arithmetic is exact.  sieve_orders, count_residues and
+count_joint all read its arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ X_LIMIT = 10**9
 SEGMENT = 1 << 24
 # primes per kernel block: bounds the kernel's temporaries at any segment size
 BLOCK = 1 << 14
+# exponent bits per window of the fixed-window power: each prime tables
+# 2^WINDOW powers of its base
+WINDOW = 3
 _BITS = 30
 _MASK = (1 << _BITS) - 1
 # residues mod p <= X_LIMIT fit in 30 bits, so their products stay below 2^60 in int64
@@ -70,6 +75,7 @@ class OrderRecord:
 class CountTable:
     """Counts of primes <= x per residue class of ord (and of p when joint)."""
 
+    g: Fraction
     x: int
     d: int
     d1: int | None
@@ -77,8 +83,14 @@ class CountTable:
     primes_considered: int
     excluded: int
 
+    def require_primes(self) -> int:
+        """primes_considered, or ValueError when no prime p <= x has nu_p(g) = 0."""
+        if not self.primes_considered:
+            raise ValueError(f"no prime p <= {self.x} has nu_p(g) = 0 for g = {self.g}")
+        return self.primes_considered
+
     def frequency(self, key) -> float:
-        return self.counts.get(key, 0) / self.primes_considered
+        return self.counts.get(key, 0) / self.require_primes()
 
 
 def _segment_factored(lo: int, hi: int, base: np.ndarray):
@@ -193,24 +205,28 @@ def _block_orders(g: Fraction, p: np.ndarray, ells: np.ndarray, nfac: np.ndarray
 
     Every (p, ell) pair is stripped independently: while ell divides the
     exponent E (starting at p - 1) and g^(E/ell) = 1 (mod p), E becomes E/ell.
-    The index (p - 1) / ord is the product of the stripped ells.
+    The index (p - 1) / ord is the product of the stripped ells.  The powers
+    g^0 .. g^(2^WINDOW - 1) mod p are tabled once per prime; every pair of
+    that prime reads its row, in every stripping round.
     """
     # a prime dividing g leaves gm = 0, which never strips; it is dropped last
     gm = _residue(g.numerator, p)
     keep = gm != 0
+    rows = np.arange(len(p))
     if g.denominator != 1:
         dm = _residue(g.denominator, p)
         keep &= dm != 0
-        gm = gm * _powmod(dm, p - 2, p) % p
-    owner = np.repeat(np.arange(len(p)), nfac)
-    pm, gp = p[owner], gm[owner]
+        gm = gm * _powmod(_power_table(dm, p), rows, p - 2, p) % p
+    table = _power_table(gm, p)
+    owner = np.repeat(rows, nfac)
+    pm = p[owner]
     exp = pm - 1
     index = np.ones_like(p)
     act = np.arange(len(ells))
     while len(act):
         ell = ells[act]
         e = exp[act] // ell
-        hit = _powmod(gp[act], e, pm[act]) == 1
+        hit = _powmod(table, owner[act], e, pm[act]) == 1
         act = act[hit]
         exp[act] = e[hit]
         np.multiply.at(index, owner[act], ells[act])
@@ -229,16 +245,36 @@ def _residue(n: int, p: np.ndarray) -> np.ndarray:
     return -r % p if n < 0 else r
 
 
-def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp mod mod by right-to-left square-and-multiply;
-    base < mod < 2^30 keeps every product below 2^60."""
-    result = np.ones_like(base)
-    while True:
-        result = np.where(exp & 1, result * base % mod, result)
-        exp = exp >> 1
-        if not exp.any():
-            return result
-        base = base * base % mod
+def _power_table(base: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Rows base^0 .. base^(2^WINDOW - 1) mod mod, one row per element."""
+    table = np.empty((len(base), 1 << WINDOW), dtype=np.int64)
+    table[:, 0] = 1
+    table[:, 1] = base
+    for k in range(2, 1 << WINDOW):
+        table[:, k] = table[:, k - 1] * base % mod
+    return table
+
+
+def _powmod(table: np.ndarray, rows: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise b^exp mod mod, b the base of table[rows], by a left-to-right
+    fixed-window power: WINDOW squarings per window of exp, then one multiply
+    by the row's entry for that window's digit.  Entries and results are below
+    mod < 2^30, so every product stays below 2^60."""
+    flat = table.ravel()
+    rows = rows << WINDOW
+    digit = (1 << WINDOW) - 1
+    # the top window holds bit nbits - 1; when every exponent is 0 or 1 (a
+    # block of p = 2 alone, whose Fermat exponent p - 2 is 0), the one
+    # window at shift 0 is the whole power
+    nbits = int(exp.max(initial=0)).bit_length()
+    shift = max(nbits - 1, 0) // WINDOW * WINDOW
+    result = flat[rows + (exp >> shift & digit)]
+    while shift:
+        shift -= WINDOW
+        for _ in range(WINDOW):
+            result = result * result % mod
+        result = result * flat[rows + (exp >> shift & digit)] % mod
+    return result
 
 
 def count_residues(g: Fraction | int, d: int, x: int) -> CountTable:
@@ -251,7 +287,7 @@ def count_residues(g: Fraction | int, d: int, x: int) -> CountTable:
     for _, o in _orders(g, x):
         counts += np.bincount(o % d, minlength=d)
     considered = int(counts.sum())
-    return CountTable(x, d, None, dict(enumerate(counts.tolist())), considered, excluded)
+    return CountTable(g, x, d, None, dict(enumerate(counts.tolist())), considered, excluded)
 
 
 def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
@@ -270,7 +306,7 @@ def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
             key = (k >> _BITS, k & _MASK)
             counts[key] = counts.get(key, 0) + c
     considered = sum(counts.values())
-    return CountTable(x, d2, d1, counts, considered, excluded)
+    return CountTable(g, x, d2, d1, counts, considered, excluded)
 
 
 def _count_excluded(g: Fraction, x: int) -> int:
@@ -331,10 +367,9 @@ def compare(g: Fraction | int, d: int, x: int, analytic) -> CompareReport:
     if missing:
         raise ValueError(f"no prediction for the classes {missing} mod {d}")
     table = count_residues(g, d, x)
-    if not table.primes_considered:
-        raise ValueError(f"no prime p <= {x} has nu_p(g) = 0 for g = {Fraction(g)}")
-    tol = max(0.002, 3.0 / math.sqrt(table.primes_considered))
-    report = CompareReport(Fraction(g), d, x, table.primes_considered, tol)
+    considered = table.require_primes()
+    tol = max(0.002, 3.0 / math.sqrt(considered))
+    report = CompareReport(table.g, d, x, considered, tol)
     for a in range(d):
         pred = getattr(analytic[a], "value", analytic[a])
         freq = table.frequency(a)

@@ -228,3 +228,11 @@ def test_verify_without_a_coprime_prime_exits_2():
         code, out, err = _run(["verify", "--g", g, "--d", "3", "--x", x, "--pmax", "1000000"])
         assert code == 2 and out == "", (g, x)
         assert err == f"error: no prime p <= {x} has nu_p(g) = 0 for g = {g}\n"
+
+
+def test_verify_joint_without_a_coprime_prime_exits_2():
+    # the --d1 path used to exit 0 with "classes":[]
+    for g, x in (("2", "2"), ("6", "3")):
+        code, out, err = _run(["verify", "--g", g, "--d", "3", "--x", x, "--d1", "3"])
+        assert code == 2 and out == "", (g, x)
+        assert err == f"error: no prime p <= {x} has nu_p(g) = 0 for g = {g}\n"

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ordense.cli as cli
@@ -51,6 +52,14 @@ def test_order_record_invariants_random_spot_check():
         assert pow(2, rec.ord, rec.p) == 1
         for ell, _ in factorize(rec.ord):
             assert pow(2, rec.ord // ell, rec.p) != 1, rec
+
+
+def test_frequency_refuses_table_without_a_coprime_prime():
+    # every prime <= x divides g: frequency used to divide by zero
+    for table in (count_residues(2, 3, 2), count_joint(6, 3, 3, 3)):
+        assert table.primes_considered == 0
+        with pytest.raises(ValueError, match=re.escape(f"p <= {table.x} has nu_p(g) = 0")):
+            table.frequency(0)
 
 
 def test_count_residues_example():
@@ -226,6 +235,69 @@ def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
         for p, o, _ in ref:
             want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
         assert jt.counts == want, g
+
+
+@pytest.mark.parametrize("g", [Fraction(1, 3), Fraction(5, 3), Fraction(1, 2)])
+@pytest.mark.parametrize("x", [2, 3])
+def test_tiny_x_matches_scalar_oracle(g, x):
+    # at p = 2 the Fermat exponent p - 2 of a denominator is 0
+    recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, x)]
+    assert recs == list(_scalar_orders(g, x))
+
+
+def test_block_of_p_two_alone(monkeypatch):
+    # SEGMENT = 1 puts p = 2 alone in the first block: its largest exponent
+    # is 0 (the inverse of a denominator) and it has no (p, l) pair
+    monkeypatch.setattr(emp, "SEGMENT", 1)
+    assert emp._factored_chunks(30)[0][0].tolist() == [2]
+    for g in (Fraction(1, 3), Fraction(5, 3), Fraction(1, 2), Fraction(3)):
+        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, 30)]
+        assert recs == list(_scalar_orders(g, 30)), g
+
+
+def test_powmod_matches_pow():
+    rng = random.Random(5)
+    mods = sieve.sieve_primes(emp.X_LIMIT, emp.X_LIMIT - 2000)
+    mods = np.concatenate([[2, 3, 5, 7], mods])
+    base = np.array([rng.randrange(int(m)) for m in mods])
+    table = emp._power_table(base, mods)
+    rows = np.arange(len(mods))
+    for exp in ([0] * len(mods), [1] * len(mods), [7, 8, 9, 63, 64, 65] * len(mods)):
+        exp = np.array(exp[: len(mods)])
+        got = emp._powmod(table, rows, exp, mods).tolist()
+        want = [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
+        assert got == want, exp[:6]
+    exp = np.array([rng.randrange(int(m)) for m in mods])
+    got = emp._powmod(table, rows, exp, mods).tolist()
+    assert got == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
+
+
+def _order_by_definition(gm, p):
+    """The least o | p - 1 with gm^o = 1 (mod p), from Python's pow alone."""
+    o = p - 1
+    for ell in factorize(p - 1).primes:
+        while o % ell == 0 and pow(gm, o // ell, p) == 1:
+            o //= ell
+    assert pow(gm, o, p) == 1
+    assert all(pow(gm, o // ell, p) != 1 for ell in factorize(o).primes)
+    return o
+
+
+@pytest.mark.parametrize("g", [Fraction(2), Fraction(-3), Fraction(9, 2), Fraction(2**70 + 1)])
+def test_kernel_at_top_of_range(g):
+    # primes just below X_LIMIT: residues near 2^30, products near 2^60
+    p = sieve.sieve_primes(emp.X_LIMIT, emp.X_LIMIT - 4400)
+    assert len(p) >= 200
+    facs = [factorize(int(q) - 1).primes for q in p]
+    ells = np.array([ell for f in facs for ell in f], dtype=np.int64)
+    nfac = np.array([len(f) for f in facs], dtype=np.int64)
+    kept, orders = emp._block_orders(g, p, ells, nfac)
+    want = []
+    for q in p.tolist():
+        if g.numerator % q and g.denominator % q:
+            gm = g.numerator * pow(g.denominator, -1, q) % q
+            want.append((q, _order_by_definition(gm, q)))
+    assert list(zip(kept.tolist(), orders.tolist())) == want
 
 
 # count_residues(g, 12, 10**6) and count_joint(g, 4, 3, 10**6) as computed
