@@ -29,7 +29,7 @@ from .characters import (
     character_group,
     h_chi,
 )
-from .decomp import GDecomposition, decompose, is_generic, n_r
+from .decomp import GDecomposition, decompose, n_r
 from .density import (
     DensityValue,
     TruncationConfig,
@@ -52,13 +52,6 @@ from .empirical import (
     count_residues,
     sieve_orders,
 )
-from .kummer import (
-    UNSUPPORTED,
-    entanglement_coefficient,
-    epsilon,
-    intersection_degree,
-    kummer_degree,
-    sqrt_qstar_in_kvv,
-)
+from .kummer import UNSUPPORTED, entanglement_coefficient, kummer_degree
 
 __version__ = "0.1.0"

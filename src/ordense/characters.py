@@ -199,10 +199,15 @@ def h_chi(chi: DirichletCharacter, v: int) -> complex:
     return out
 
 
-def _chunked_prod(factors: np.ndarray) -> complex:
+def _chunked_prod(values: np.ndarray, factor) -> complex:
+    """Product of factor(chunk) over consecutive _CHUNK-sized chunks of values.
+
+    Only one chunk's factors exist at a time, so the temporaries stay
+    bounded whatever the length of values.
+    """
     out = 1 + 0j
-    for i in range(0, len(factors), _CHUNK):
-        out *= complex(np.prod(factors[i : i + _CHUNK]))
+    for i in range(0, len(values), _CHUNK):
+        out *= complex(np.prod(factor(values[i : i + _CHUNK])))
     return out
 
 
@@ -245,11 +250,12 @@ def a_chi(
     if hit is not None:
         return hit
     primes = primes_upto(prime_cutoff)
-    c = chi.value_table()[primes % chi.modulus]
-    keep = c != 0
-    # rebinding c frees the full-length values before the factors are built
-    p, c = primes[keep].astype(np.float64), c[keep]
-    value = _chunked_prod(_generic_factor(p, c))
+    # chi(p) = 0 exactly at p = q, the prime of the modulus q^s
+    table = chi.value_table()
+    value = _chunked_prod(
+        primes[primes != chi._group.prime],
+        lambda p: _generic_factor(p.astype(np.float64), table[p % chi.modulus]),
+    )
     out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
     _euler_cache[key] = out
     return out
@@ -325,8 +331,9 @@ def c_chi(
 def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """Artin's constant prod_p (1 - 1/(p(p-1))) over primes <= prime_cutoff."""
     check_prime_cutoff(prime_cutoff)
-    p = primes_upto(prime_cutoff).astype(np.float64)
-    value = _chunked_prod(1.0 - 1.0 / (p * (p - 1.0))).real
+    value = _chunked_prod(
+        primes_upto(prime_cutoff), lambda p: 1.0 - 1.0 / (p * (p - 1.0))
+    ).real
     # |factor - 1| = 1/(p(p-1)) <= 1.02/p^2 here, same tail shape as a_chi
     tail = abs(value) * math.expm1(2.6 / (prime_cutoff * math.log(prime_cutoff)))
     return EulerProductValue(value, tail, prime_cutoff)

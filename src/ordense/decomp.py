@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arith import discriminant_sqrt, factorize, nu2
 
-__all__ = ["GDecomposition", "decompose", "n_r", "is_generic"]
+__all__ = ["GDecomposition", "decompose", "n_r"]
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,3 @@ def n_r(dec: GDecomposition, r: int) -> int:
         return dec.m
     return math.lcm(2 << nu2(dec.h * r), dec.disc_g0)
 
-
-def is_generic(g: Fraction | int | GDecomposition) -> bool:
-    """True iff g cannot be written as +-g0**h with h > 1 (exponent h = 1)."""
-    dec = g if isinstance(g, GDecomposition) else decompose(g)
-    return dec.h == 1

@@ -23,14 +23,15 @@ For composite d that is not an odd prime power some entanglement
 coefficients cannot be decided; the full series then returns an interval
 [lo, hi] instead of a point value, never a guess.
 
-The series read their spf/phi/mu tables from ordense.sieve.tables and their
-Kummer degrees from ordense.kummer, where the correction eps (coded as the
-integer 2*eps), the sqrt(q*) condition and the coefficients c_g are defined
-once.  Both series are numpy arrays over bounded blocks: the (t, n) double
-series sums BLOCK pairs at a time, the level-q v-series a block of v with at
-most V_CELLS (v, class) cells.  Each calls the kernels once per distinct key
-of the inputs they read, and each adds its terms in the order of the scalar
-loop it replaced, so its sums are bit-identical to that loop's.
+The series read their spf/phi/mu tables from ordense.sieve.tables, and
+their Kummer degrees, the sqrt(q*) condition and the coefficients c_g from
+ordense.kummer.  Both series are numpy arrays over bounded blocks: the
+(t, n) double series sums BLOCK pairs at a time, the level-q v-series a
+block of v with at most V_CELLS (v, class) cells.  Each block takes its
+degrees from the array kernel kummer_degrees; the sqrt(q*) condition and
+c_g are called once per distinct key of the inputs they read.  Each series
+adds its terms in the order of the scalar loop it replaced, so its sums are
+bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -51,7 +52,13 @@ from .characters import (
     check_prime_cutoff,
 )
 from .decomp import GDecomposition, decompose, n_r
-from .kummer import UNSUPPORTED, _eps2, entanglement_coefficient, kummer_degree, sqrt_qstar_in_kvv
+from .kummer import (
+    UNSUPPORTED,
+    entanglement_coefficient,
+    kummer_degree,
+    kummer_degrees,
+    sqrt_qstar_in_kvv,
+)
 from .sieve import tables
 
 __all__ = [
@@ -246,20 +253,19 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     a class with M_r(v) = 0 or a v outside the sqrt(q*) support adds a
     signed 0.0, which leaves a running sum unchanged.  The integers are
     int64 when all fit (the degree numerators 2(q-1)phi(v)v < 2q v_max^2,
-    the eps keys and n_1), else Python ints.
+    the sqrt(q*) keys, and n_1 with the lcm(hc2, D(g0)) <= 2 n_1 that
+    kummer_degrees forms beside it), else Python ints.
     """
     key = (dec.g, q, v_max)
     hit = _level_q_cache.get(key)
     if hit is not None:
         return hit
     spf, phi, _ = tables(v_max)
-    hc2 = dec.hc2
     n1 = n_r(dec, 1)  # = n_r(dec, q), as q is odd
     # sqrt_qstar_in_kvv(dec, q, 0, v) reads v only through v mod n_1/q (when
     # q | D(g0)) and v mod hc2, both fixed by gcd(v, lcm(n_1, hc2))
-    sq_mod = math.lcm(n1, hc2)
-    dt = _int_dtype(max(2 * q * v_max**2, (q * v_max + 1) * (hc2 + 1), sq_mod))
-    eps_memo: dict[int, int] = {}
+    sq_mod = math.lcm(n1, dec.hc2)
+    dt = _int_dtype(max(2 * q * v_max**2, 2 * n1, sq_mod))
     sq_memo: dict[int, int] = {}
     acc1 = np.zeros(q)
     acc2 = np.zeros(q)
@@ -268,16 +274,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         vs = np.arange(v0, min(v0 + block, v_max + 1))
         vs = vs[vs % q != 0]
         v = vs.astype(dt)
-        # _eps2(dec, q v, v) reads q v mod n_q = n_1 and v mod hc2
-        eps_key = np.gcd(q * v, n1) * (hc2 + 1) + np.gcd(v, hc2)
-        eps2 = _per_key(eps_key, eps_memo, lambda k: _eps2(dec, q * int(v[k]), int(v[k])))
-        num = 2 * (q - 1) * phi[vs].astype(dt) * v
-        den = eps2 * np.gcd(v, dec.h)
-        bad = np.flatnonzero(num % den)
-        if len(bad):
-            k = int(vs[bad[0]])
-            raise AssertionError(f"non-integral Kummer degree at kr={q * k}, k={k}")
-        w1 = np.asarray(1.0 / (num // den), dtype=np.float64)
+        deg = kummer_degrees(dec, q * v, v, (q - 1) * phi[vs].astype(dt))
+        w1 = np.asarray(1.0 / deg, dtype=np.float64)
         has_sqrt = _per_key(
             np.gcd(v, sq_mod), sq_memo, lambda k: sqrt_qstar_in_kvv(dec, q, 0, int(v[k]))
         )
@@ -598,16 +596,14 @@ def delta_general_series(
     The pairs are summed in blocks of at most BLOCK pairs, in loop order, so
     every sum equals the scalar (t, n) loop's.  The integers are int64 when
     the worst case fits: the degree numerators (at most
-    2*d*(n_max*t_max)^2), the eps keys (built from n_r(z) <= max(m,
-    lcm(2^(nu2(hd)+1), D(g0))) for z | d) and the c_g keys (built from K_f,
-    below) all stay below 2^63.  Otherwise they are Python ints.
+    2*d*(n_max*t_max)^2), the n_r that kummer_degrees forms for r | d (at
+    most max(m, lcm(2^(nu2(hd)+1), D(g0)))) and the c_g keys (built from
+    K_f, below) all stay below 2^63.  Otherwise they are Python ints.
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
     a %= d
     t_max, n_max = cfg.t_max, cfg.n_max
-    h = dec.h
-    hc2 = dec.hc2
     # t_d, the part of t made of primes of d, for every t <= t_max
     td = np.ones(t_max, dtype=np.int64)
     for p, _ in factorize(d):
@@ -622,21 +618,13 @@ def delta_general_series(
     # is a function of (f, b mod f, gcd(v, K_f)).
     tds, td_of_t = np.unique(td, return_inverse=True)
     kfs = [
-        math.lcm(f, dec.m, dec.disc_g0, 2 << (nu2(h) + nu2(f)))
+        math.lcm(f, dec.m, dec.disc_g0, 2 << (nu2(dec.h) + nu2(f)))
         for f in (d * x for x in tds.tolist())
     ]
     kf_max = max(kfs)
-    nz_max = max(dec.m, math.lcm(2 << nu2(h * d), dec.disc_g0))
-    bound = max(
-        2 * d * (n_max * t_max) ** 2,
-        (d + 1) * (nz_max + 1) * (hc2 + 1),
-        t_max * (kf_max + 1),
-    )
-    dt = _int_dtype(bound)
+    nz_max = max(dec.m, math.lcm(2 << nu2(dec.h * d), dec.disc_g0))
+    dt = _int_dtype(max(2 * d * (n_max * t_max) ** 2, nz_max, t_max * (kf_max + 1)))
     t, n, mun, ell, blocks = _pair_blocks(a, d, cfg, dt)
-    z = ell // n
-    zs, z_of_n = np.unique(z, return_inverse=True)
-    nz = np.array([n_r(dec, int(x)) for x in zs], dtype=dt)[z_of_n]
     tpos = t.astype(np.intp) - 1
     kf = np.array(kfs, dtype=dt)[td_of_t[tpos]]
     tdk = td[tpos].astype(dt)
@@ -645,7 +633,6 @@ def delta_general_series(
     # one id per distinct (f, b mod f), as b mod f < d * t_max
     _, tid = np.unique(tdk * (d * t_max) + b % f, return_inverse=True)
     tid = tid.astype(dt)
-    eps_memo: dict[int, int] = {}
     cg_memo: dict[int, int] = {}
     total0 = 0.0
     total = 0.0
@@ -653,17 +640,7 @@ def delta_general_series(
     hi = 0.0
     for i, j, philt in blocks:
         v = n[j] * t[i]
-        lt = ell[j] * t[i]
-        # _eps2(dec, lt, v) reads r = z, lt mod n_r(z) and v mod hc2
-        eps_key = (z[j] * (nz_max + 1) + np.gcd(lt, nz[j])) * (hc2 + 1) + np.gcd(v, hc2)
-        eps2 = _per_key(eps_key, eps_memo, lambda k: _eps2(dec, int(lt[k]), int(v[k])))
-        num = 2 * philt * v
-        den = eps2 * np.gcd(v, h)
-        bad = np.flatnonzero(num % den)
-        if len(bad):
-            k = bad[0]
-            raise AssertionError(f"non-integral degree at t={t[i[k]]}, n={n[j[k]]}")
-        term = _terms(mun[j], num // den)
+        term = _terms(mun[j], kummer_degrees(dec, ell[j] * t[i], v, philt))
         cg_key = tid[i] * (kf_max + 1) + np.gcd(v, kf[i])
         c = _per_key(
             cg_key, cg_memo, lambda k: _coefficient(dec, int(b[i[k]]), int(f[i[k]]), int(v[k]))

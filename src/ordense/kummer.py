@@ -8,10 +8,10 @@ obvious cyclotomic subfield, which is what decides the coefficients
 c_g(b, f, v) in {0, 1}: does the automorphism zeta_f -> zeta_f^b act
 trivially on that intersection?
 
-eps is defined once, in _eps2, coded as the integer 2*eps in {1, 2, 4} so
-every degree is computed with integers only; epsilon returns it as a
-Fraction.  The (t, n) double series of ordense.density calls _eps2 and
-entanglement_coefficient once per distinct key of the inputs they read.
+eps is coded as the integer 2*eps in {1, 2, 4}, so every degree is computed
+with integers only.  _eps2 and kummer_degree give it and the degree for one
+(kr, k); kummer_degrees applies the same case split to whole arrays, and is
+where both series of ordense.density take their degrees from.
 
 The intersection is the plain cyclotomic Q(zeta_gcd(f,v)) or a quadratic
 extension of it.  When the quadratic jump is attributable to a single odd
@@ -24,19 +24,13 @@ UNSUPPORTED is returned instead of a guess.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+
+import numpy as np
 
 from .arith import euler_phi, factorize, is_prime, kronecker
 from .decomp import GDecomposition, n_r
 
-__all__ = [
-    "UNSUPPORTED",
-    "epsilon",
-    "kummer_degree",
-    "intersection_degree",
-    "sqrt_qstar_in_kvv",
-    "entanglement_coefficient",
-]
+__all__ = ["UNSUPPORTED", "kummer_degree", "kummer_degrees", "entanglement_coefficient"]
 
 
 class _Unsupported:
@@ -71,11 +65,6 @@ def _eps2(dec: GDecomposition, kr: int, k: int) -> int:
     return 2
 
 
-def epsilon(dec: GDecomposition, kr: int, k: int) -> Fraction:
-    """Degree correction eps(kr, k) in {1/2, 1, 2}; requires k | kr."""
-    return Fraction(_eps2(dec, kr, k), 2)
-
-
 def kummer_degree(dec: GDecomposition, kr: int, k: int, phi_kr: int | None = None) -> int:
     """[Q(zeta_kr, g^(1/k)) : Q] = phi(kr) * k / (eps(kr,k) * gcd(k, h))."""
     eps2 = _eps2(dec, kr, k)
@@ -84,6 +73,34 @@ def kummer_degree(dec: GDecomposition, kr: int, k: int, phi_kr: int | None = Non
     deg, rem = divmod(2 * phi_kr * k, eps2 * math.gcd(k, dec.h))
     if rem or deg <= 0:
         raise AssertionError(f"non-integral Kummer degree at kr={kr}, k={k}")
+    return deg
+
+
+def kummer_degrees(
+    dec: GDecomposition, kr: np.ndarray, k: np.ndarray, phi_kr: np.ndarray
+) -> np.ndarray:
+    """kummer_degree elementwise over arrays with k | kr and phi_kr = phi(kr).
+
+    Applies _eps2's case split with no memo.  The arrays may be int64 when
+    2 * phi_kr * k, n_r and lcm(2^(nu2(hr)+1), D(g0)) (formed for every r,
+    also where n_r = m) all stay below 2^63; otherwise they hold Python ints.
+    """
+    r = kr // k
+    # n_r = lcm(2^(nu2(hr)+1), D(g0)), or m for negative g with r odd
+    n = np.lcm(dec.hc2 * (r & -r), dec.disc_g0)
+    eps2 = np.full(kr.shape, 2)
+    if dec.sign < 0:
+        odd = r % 2 == 1
+        n = np.where(odd, dec.m, n)
+        eps2[odd & (k % 2 == 0) & (k % dec.hc2 != 0)] = 1
+    eps2[kr % n == 0] = 4
+    num = 2 * phi_kr * k
+    den = eps2 * np.gcd(k, dec.h)
+    deg = num // den
+    bad = np.flatnonzero((num % den != 0) | (deg <= 0))
+    if len(bad):
+        i = bad[0]
+        raise AssertionError(f"non-integral Kummer degree at kr={kr[i]}, k={k[i]}")
     return deg
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ def test_a_chi_tail_bound_honest():
             coarse = a_chi(chi, 10**5)
             fine = a_chi(chi, 10**6)
             assert abs(fine.value - coarse.value) <= coarse.tail_bound, (q, chi.index)
+
+
+def test_a_chi_memory_bounded(monkeypatch):
+    # whole-length values and factors over the 664579 primes below 1e7 would
+    # peak near 41 MB; factors built one chunk at a time keep it under 12 MB
+    primes_upto(10**7)
+    monkeypatch.setattr(ordense.characters, "_euler_cache", {})
+    tracemalloc.start()
+    try:
+        a_chi(character_group(5).characters[1], 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
 
 
 def test_artin_constant_reference():

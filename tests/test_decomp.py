@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordense.arith import discriminant_sqrt, nu2
-from ordense.decomp import decompose, is_generic, n_r
+from ordense.decomp import decompose, n_r
 
 
 def test_decompose_examples():
@@ -109,9 +109,10 @@ def test_n_r_positive_g_ignores_odd_part():
 
 
 def test_is_generic():
-    assert is_generic(2)
-    assert not is_generic(8)
-    assert not is_generic(-4)
-    assert is_generic(-2)
-    assert is_generic(Fraction(2, 3))
-    assert not is_generic(Fraction(16, 81))
+    # g is generic (not +-g0**h with h > 1) exactly when its exponent h is 1
+    assert decompose(2).h == 1
+    assert decompose(8).h != 1
+    assert decompose(-4).h != 1
+    assert decompose(-2).h == 1
+    assert decompose(Fraction(2, 3)).h == 1
+    assert decompose(Fraction(16, 81)).h != 1

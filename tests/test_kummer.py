@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ordense.arith import euler_phi, kronecker
 from ordense.decomp import decompose
 from ordense.kummer import (
     UNSUPPORTED,
+    _eps2,
     entanglement_coefficient,
-    epsilon,
     intersection_degree,
     kummer_degree,
+    kummer_degrees,
     sqrt_qstar_in_kvv,
 )
 from ordense.sieve import primes_upto
@@ -22,13 +24,14 @@ G_PANEL = [
 
 
 def test_epsilon_examples():
+    # _eps2 is 2 * eps
     d2 = decompose(2)
-    assert epsilon(d2, 8, 2) == 2  # n_4 = 8 divides 8
-    assert epsilon(d2, 4, 4) == 1  # n_1 = 8 does not divide 4
+    assert _eps2(d2, 8, 2) == 4  # n_4 = 8 divides 8
+    assert _eps2(d2, 4, 4) == 2  # n_1 = 8 does not divide 4
     dm3 = decompose(-3)
-    assert epsilon(dm3, 3, 1) == 1  # m = 6 does not divide 3, k odd
+    assert _eps2(dm3, 3, 1) == 2  # m = 6 does not divide 3, k odd
     with pytest.raises(ValueError):
-        epsilon(d2, 8, 3)
+        _eps2(d2, 8, 3)
 
 
 def test_epsilon_half_branch():
@@ -37,7 +40,7 @@ def test_epsilon_half_branch():
     # need k even, k not divisible by 2 -> impossible at h odd; use h = 2
     dm4 = decompose(-4)  # h = 2, threshold 4
     # kr = k = 2: ratio 1 odd, m = 4 does not divide 2, k = 2 even, 4 does not divide 2
-    assert epsilon(dm4, 2, 2) == Fraction(1, 2)
+    assert _eps2(dm4, 2, 2) == 1  # eps = 1/2
     # K(2,2) = Q(sqrt(-4)) = Q(i): phi(2)*2 / ((1/2) * gcd(2,2)) = 2
     assert kummer_degree(dm4, 2, 2) == 2
 
@@ -76,6 +79,28 @@ def test_degree_integrality_panel():
             for k in _divisors(kr):
                 deg = kummer_degree(dec, kr, k)
                 assert deg >= 1
+
+
+def test_kummer_degrees_match_scalar():
+    # the array kernel equals kummer_degree elementwise: int64 arrays over
+    # the panel, object arrays where D(g0) has 92 bits
+    pairs = [(kr, k) for kr in range(1, 501) for k in _divisors(kr)]
+    kr = np.array([p[0] for p in pairs])
+    k = np.array([p[1] for p in pairs])
+    phi = np.array([euler_phi(x) for x in kr.tolist()])
+    for g in G_PANEL:
+        dec = decompose(g)
+        want = [kummer_degree(dec, x, y) for x, y in pairs]
+        assert kummer_degrees(dec, kr, k, phi).tolist() == want, g
+    # g = -4 reaches the eps = 1/2 branch
+    assert any(_eps2(decompose(-4), x, y) == 1 for x, y in pairs)
+    big = Fraction(2**61 - 1, 2**31 - 1)
+    assert decompose(big).disc_g0.bit_length() == 92
+    for g in (big, -big):
+        dec = decompose(g)
+        want = [kummer_degree(dec, x, y) for x, y in pairs]
+        got = kummer_degrees(dec, kr.astype(object), k.astype(object), phi.astype(object))
+        assert got.tolist() == want, g
 
 
 def test_degree_empirical_splitting_oracle():
