@@ -101,8 +101,12 @@ class DirichletCharacter:
         return 0j if k is None else complex(self._group.roots[k])
 
     def value_table(self) -> np.ndarray:
-        """chi on residues 0..modulus-1 as complex128 (0 on non-units)."""
-        return self._group.value_tables[self.index]
+        """chi on residues 0..modulus-1 as complex128 (0 on non-units), built on each call."""
+        grp = self._group
+        table = np.zeros(self.modulus, dtype=np.complex128)
+        units = grp.dlog >= 0
+        table[units] = grp.roots[(self.index * grp.dlog[units]) % self.phi]
+        return table
 
     @property
     def is_principal(self) -> bool:
@@ -140,7 +144,6 @@ class CharacterGroup:
         self.dlog = self._dlog_table()
         self.roots = np.exp(2j * np.pi * np.arange(self.phi) / self.phi)
         self.characters = tuple(DirichletCharacter(self, j) for j in range(self.phi))
-        self.value_tables = self._value_tables()
 
     def _primitive_root(self) -> int:
         fac_phi = factorize(self.phi)
@@ -158,13 +161,6 @@ class CharacterGroup:
             table[x] = k
             x = x * self.generator % self.modulus
         return table
-
-    def _value_tables(self) -> np.ndarray:
-        tables = np.zeros((self.phi, self.modulus), dtype=np.complex128)
-        units = self.dlog >= 0
-        for j in range(self.phi):
-            tables[j, units] = self.roots[(j * self.dlog[units]) % self.phi]
-        return tables
 
     @property
     def principal(self) -> DirichletCharacter:

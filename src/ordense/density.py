@@ -28,10 +28,11 @@ their Kummer degrees, the sqrt(q*) condition and the coefficients c_g from
 ordense.kummer.  Both series are numpy arrays over bounded blocks: the
 (t, n) double series sums BLOCK pairs at a time, the level-q v-series a
 block of v with at most V_CELLS (v, class) cells.  Each block takes its
-degrees from the array kernel kummer_degrees; the sqrt(q*) condition and
-c_g are called once per distinct key of the inputs they read.  Each series
-adds its terms in the order of the scalar loop it replaced, so its sums are
-bit-identical to that loop's.
+degrees from the array kernel kummer_degrees and its sqrt(q*) condition
+from the same predicate the scalar c_g reads; the double series takes c_g
+from one kummer.coefficient_table per call, which decides what c_g reads.
+Each series adds its terms in the order of the scalar loop it replaced, so
+its sums are bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -52,13 +53,7 @@ from .characters import (
     check_prime_cutoff,
 )
 from .decomp import GDecomposition, decompose, n_r
-from .kummer import (
-    UNSUPPORTED,
-    entanglement_coefficient,
-    kummer_degree,
-    kummer_degrees,
-    sqrt_qstar_in_kvv,
-)
+from .kummer import coefficient_table, kummer_degree, kummer_degrees, sqrt_qstar_in_kvv
 from .sieve import tables
 
 __all__ = [
@@ -79,8 +74,8 @@ _HEURISTIC_C = 8.0
 # largest sum truncations accepted: tables are sized by them
 # (a process that builds tables(3 * 10**6) peaks near 120 MB)
 _SUM_LIMIT = 10**7
-# pairs per block of the (t, n) double series: bounds its arrays, so memory
-# stays flat in t_max and n_max
+# pairs per block of the (t, n) double series: bounds its arrays, so their
+# size stays flat in t_max and n_max
 BLOCK = 1 << 12
 _METHODS = ("series", "char_form", "closed_form", "scaled")
 
@@ -201,7 +196,7 @@ def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
 _level_q_cache: dict[tuple, tuple[list[float], list[float]]] = {}
 # (v, class) cells per block of the level-q v-series: a block holds at most
 # V_CELLS // max(q, 16) values of v, which also bounds its lists of
-# squarefree divisors (about 10 per v near 1e6), so memory stays flat in
+# squarefree divisors (about 10 per v near 1e6), so the arrays stay flat in
 # v_max and q.  Blocks four times larger ran no faster at v_max = 2.5e4 and
 # raised a process's peak RSS by about 1.5 MB.
 V_CELLS = 1 << 14
@@ -253,8 +248,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     a class with M_r(v) = 0 or a v outside the sqrt(q*) support adds a
     signed 0.0, which leaves a running sum unchanged.  The integers are
     int64 when all fit (the degree numerators 2(q-1)phi(v)v < 2q v_max^2,
-    the sqrt(q*) keys, and n_1 with the lcm(hc2, D(g0)) <= 2 n_1 that
-    kummer_degrees forms beside it), else Python ints.
+    and n_1 with the lcm(hc2, D(g0)) <= 2 n_1 that kummer_degrees and
+    sqrt_qstar_in_kvv form beside it), else Python ints.
     """
     key = (dec.g, q, v_max)
     hit = _level_q_cache.get(key)
@@ -262,11 +257,7 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         return hit
     spf, phi, _ = tables(v_max)
     n1 = n_r(dec, 1)  # = n_r(dec, q), as q is odd
-    # sqrt_qstar_in_kvv(dec, q, 0, v) reads v only through v mod n_1/q (when
-    # q | D(g0)) and v mod hc2, both fixed by gcd(v, lcm(n_1, hc2))
-    sq_mod = math.lcm(n1, dec.hc2)
-    dt = _int_dtype(max(2 * q * v_max**2, 2 * n1, sq_mod))
-    sq_memo: dict[int, int] = {}
+    dt = _int_dtype(max(2 * q * v_max**2, 2 * n1))
     acc1 = np.zeros(q)
     acc2 = np.zeros(q)
     block = max(1, V_CELLS // max(q, 16))
@@ -276,10 +267,7 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         v = vs.astype(dt)
         deg = kummer_degrees(dec, q * v, v, (q - 1) * phi[vs].astype(dt))
         w1 = np.asarray(1.0 / deg, dtype=np.float64)
-        has_sqrt = _per_key(
-            np.gcd(v, sq_mod), sq_memo, lambda k: sqrt_qstar_in_kvv(dec, q, 0, int(v[k]))
-        )
-        w2 = np.where(has_sqrt == 1, w1, 0.0)
+        w2 = np.where(sqrt_qstar_in_kvv(dec, q, v), w1, 0.0)
         counts = _class_counts(vs, q, spf)
         acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
         acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
@@ -478,18 +466,6 @@ def _running_sum(start: float, x: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([start], x)))[-1])
 
 
-def _per_key(key: np.ndarray, memo: dict, value_at) -> np.ndarray:
-    """memo[k] for every entry k of key, filling a missing k with value_at(first index of k)."""
-    # without return_index np.unique skips a stable argsort, about 2.5x faster
-    uniq, inverse = np.unique(key, return_inverse=True)
-    vals = []
-    for u, k in enumerate(uniq.tolist()):
-        if k not in memo:
-            memo[k] = value_at(int(np.argmax(inverse == u)))
-        vals.append(memo[k])
-    return np.array(vals, dtype=np.int64)[inverse]
-
-
 # ---------------------------------------------------------------------------
 # the g-averaged density
 
@@ -596,9 +572,11 @@ def delta_general_series(
     The pairs are summed in blocks of at most BLOCK pairs, in loop order, so
     every sum equals the scalar (t, n) loop's.  The integers are int64 when
     the worst case fits: the degree numerators (at most
-    2*d*(n_max*t_max)^2), the n_r that kummer_degrees forms for r | d (at
-    most max(m, lcm(2^(nu2(hd)+1), D(g0)))) and the c_g keys (built from
-    K_f, below) all stay below 2^63.  Otherwise they are Python ints.
+    2*d*(n_max*t_max)^2) and the n_r that kummer_degrees forms for r | d
+    (at most max(m, lcm(2^(nu2(hd)+1), D(g0)))) stay below 2^63.
+    Otherwise they are Python ints.  The coefficients come from one
+    kummer.coefficient_table per call, over b = 1 + ta and f = d * t_d,
+    which picks its own key type.
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
@@ -611,29 +589,10 @@ def delta_general_series(
         while pk <= t_max:
             td[pk - 1 :: pk] *= p
             pk *= p
-    # entanglement_coefficient(dec, b, f, v) with f = d * t_d reads v only
-    # through divisibility by divisors of K_f = lcm(f, m, D(g0),
-    # 2^(nu2(h)+nu2(f)+1)): gcd(f, v), n_r(r) for r | f, n_1 / q and hc2.
-    # It reads b only mod f: (q*|b) has period q, which divides f.  So c_g
-    # is a function of (f, b mod f, gcd(v, K_f)).
-    tds, td_of_t = np.unique(td, return_inverse=True)
-    kfs = [
-        math.lcm(f, dec.m, dec.disc_g0, 2 << (nu2(dec.h) + nu2(f)))
-        for f in (d * x for x in tds.tolist())
-    ]
-    kf_max = max(kfs)
     nz_max = max(dec.m, math.lcm(2 << nu2(dec.h * d), dec.disc_g0))
-    dt = _int_dtype(max(2 * d * (n_max * t_max) ** 2, nz_max, t_max * (kf_max + 1)))
+    dt = _int_dtype(max(2 * d * (n_max * t_max) ** 2, nz_max))
     t, n, mun, ell, blocks = _pair_blocks(a, d, cfg, dt)
-    tpos = t.astype(np.intp) - 1
-    kf = np.array(kfs, dtype=dt)[td_of_t[tpos]]
-    tdk = td[tpos].astype(dt)
-    f = d * tdk
-    b = 1 + t * a
-    # one id per distinct (f, b mod f), as b mod f < d * t_max
-    _, tid = np.unique(tdk * (d * t_max) + b % f, return_inverse=True)
-    tid = tid.astype(dt)
-    cg_memo: dict[int, int] = {}
+    coefficient = coefficient_table(dec, 1 + t * a, d * td[t.astype(np.intp) - 1].astype(dt))
     total0 = 0.0
     total = 0.0
     lo = 0.0
@@ -641,10 +600,7 @@ def delta_general_series(
     for i, j, philt in blocks:
         v = n[j] * t[i]
         term = _terms(mun[j], kummer_degrees(dec, ell[j] * t[i], v, philt))
-        cg_key = tid[i] * (kf_max + 1) + np.gcd(v, kf[i])
-        c = _per_key(
-            cg_key, cg_memo, lambda k: _coefficient(dec, int(b[i[k]]), int(f[i[k]]), int(v[k]))
-        )
+        c = coefficient(i, v)
         undecided = c < 0
         total0 = _running_sum(total0, term)
         total = _running_sum(total, term[c == 1])
@@ -656,12 +612,6 @@ def delta_general_series(
         return d0, DensityValue(total, tail, False, "series")
     mid = total + (lo + hi) / 2
     return d0, DensityValue(mid, tail, False, "series", lo=total + lo, hi=total + hi)
-
-
-def _coefficient(dec: GDecomposition, b: int, f: int, v: int) -> int:
-    """entanglement_coefficient as an int, -1 for UNSUPPORTED."""
-    c = entanglement_coefficient(dec, b, f, v)
-    return -1 if c is UNSUPPORTED else c
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ prime q (f a power of q), the extension is Q(sqrt(q*)) with
 q* = (-1|q) * q, and the action of b on it is the Kronecker symbol
 (q*|b).  For other f the quadratic generator is not identified here and
 UNSUPPORTED is returned instead of a guess.
+
+Every decision about which inputs c_g reads lives here: sqrt_qstar_in_kvv
+takes an int or an integer array v, and coefficient_table derives K_f for
+the double series and calls entanglement_coefficient once per reduced key.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, kronecker
+from .arith import euler_phi, factorize, is_prime, kronecker, nu2
 from .decomp import GDecomposition, n_r
 
 __all__ = ["UNSUPPORTED", "kummer_degree", "kummer_degrees", "entanglement_coefficient"]
@@ -113,27 +117,24 @@ def intersection_degree(dec: GDecomposition, f: int, v: int) -> int:
     return quot
 
 
-def sqrt_qstar_in_kvv(dec: GDecomposition, q: int, s: int, v: int) -> bool:
-    """Whether Q(zeta_{q^(s+1)}) ∩ K(q^s v, q^s v) is Q(sqrt(q*)) rather than Q(zeta_{q^s}).
+def sqrt_qstar_in_kvv(dec: GDecomposition, q: int, v):
+    """Whether Q(zeta_q) ∩ K(v, v) is Q(sqrt(q*)) rather than Q, for an int or an integer array v.
 
-    Requires q an odd prime not dividing v and s >= 0.  True exactly when
-    s = 0, q divides D(g0), (n_1 / q) divides v, and (for negative g with v
-    even) 2^(nu2(h)+1) divides v.
+    Requires q an odd prime dividing no entry of v.  True exactly where q
+    divides D(g0), (n_1 / q) divides v, and (for negative g with v even)
+    2^(nu2(h)+1) divides v.  An array v gives a bool array of its shape; it
+    may be int64 when n_1 < 2^63, else it holds Python ints.
     """
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    if v < 1 or v % q == 0:
-        raise ValueError(f"need q coprime to v, got q={q}, v={v}")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s != 0 or dec.disc_g0 % q != 0:
-        return False
-    n1 = n_r(dec, 1)
-    if v % (n1 // q) != 0:
-        return False
-    if dec.sign < 0 and v % 2 == 0 and v % dec.hc2 != 0:
-        return False
-    return True
+    if np.any(v < 1) or np.any(v % q == 0):
+        raise ValueError(f"need every v positive and coprime to q = {q}")
+    if dec.disc_g0 % q != 0:
+        return np.zeros_like(v, dtype=bool)
+    has = v % (n_r(dec, 1) // q) == 0  # q | D(g0) puts q in n_1
+    if dec.sign < 0:
+        has &= (v % 2 == 1) | (v % dec.hc2 == 0)
+    return has
 
 
 def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
@@ -165,7 +166,7 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
     candidates = [
         q
         for q, _ in factorize(shared)
-        if q != 2 and v % q != 0 and sqrt_qstar_in_kvv(dec, q, 0, v)
+        if q != 2 and v % q != 0 and sqrt_qstar_in_kvv(dec, q, v)
     ]
     if not candidates:
         return UNSUPPORTED
@@ -174,3 +175,46 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
     q = candidates[0]
     qstar = kronecker(-1, q) * q
     return (1 + kronecker(qstar, b)) // 2
+
+
+def coefficient_table(dec: GDecomposition, b: np.ndarray, f: np.ndarray):
+    """table(i, v)[k] = c_g(b[i[k]], f[i[k]], v[k]) as int64, -1 for UNSUPPORTED.
+
+    b and f are integer arrays (int64 or Python ints) with gcd(b, f) = 1; i
+    indexes them and v is a positive integer array of i's shape.
+
+    entanglement_coefficient reads v only through divisibility by divisors
+    of K_f = lcm(f, m, D(g0), 2^(nu2(h)+nu2(f)+1)): gcd(f, v), n_r(r) for
+    r | f, n_1 / q and hc2.  It reads b only mod f: (q*|b) has period q,
+    which divides f.  So the table keeps one id per distinct (f, b mod f)
+    and one memo for its lifetime, and calls the scalar once per distinct
+    (b mod f, f, gcd(v, K_f)), at those arguments.  Its keys are int64 when
+    len(b) * (max K_f + 1) < 2^63, else Python ints.
+    """
+    fs, f_id = np.unique(f, return_inverse=True)
+    fs = fs.tolist()
+    kfs = [math.lcm(x, dec.m, dec.disc_g0, 2 << (nu2(dec.h) + nu2(x))) for x in fs]
+    width = max(kfs, default=0) + 1
+    kt = np.int64 if len(b) * width < 1 << 63 else object
+    # (f, b mod f) keyed as f's id * width + b mod f, since b mod f < f <= K_f
+    keys, pair_id = np.unique(f_id.astype(kt) * width + (b % f).astype(kt), return_inverse=True)
+    pairs = [divmod(k, width) for k in keys.tolist()]
+    pair_key = pair_id.astype(kt) * width
+    kf = np.array(kfs, dtype=kt)[f_id]
+    memo: dict[int, int] = {}
+
+    def table(i: np.ndarray, v: np.ndarray) -> np.ndarray:
+        key = pair_key[i] + np.gcd(v, kf[i]).astype(kt, copy=False)
+        keys, inverse = np.unique(key, return_inverse=True)
+        vals = []
+        for k in keys.tolist():
+            c = memo.get(k)
+            if c is None:
+                p, u = divmod(k, width)
+                fi, r = pairs[p]
+                c = entanglement_coefficient(dec, r, fs[fi], u)
+                c = memo[k] = -1 if c is UNSUPPORTED else c
+            vals.append(c)
+        return np.array(vals, dtype=np.int64)[inverse]
+
+    return table

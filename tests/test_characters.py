@@ -144,6 +144,26 @@ def test_a_chi_memory_bounded(monkeypatch):
     assert peak < 12 * 2**20, peak
 
 
+def test_character_group_memory_linear_in_q():
+    # a group holds O(q): each value table is built when asked for, where
+    # eager phi(q) x q complex tables held 15.7 MB at q = 1009
+    tracemalloc.start()
+    try:
+        ordense.characters.CharacterGroup(1009)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_value_table_matches_calls():
+    for q in (3, 25, 1009):
+        grp = character_group(q)
+        for chi in grp.characters[:: max(1, grp.phi // 7)]:
+            want = [chi(n) for n in range(q)]
+            assert chi.value_table().tolist() == want, (q, chi.index)
+
+
 def test_artin_constant_reference():
     val = artin_constant(10**6)
     assert abs(val.value - ARTIN_REFERENCE) <= val.tail_bound

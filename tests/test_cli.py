@@ -1,5 +1,8 @@
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ordense.characters
 import ordense.cli
@@ -236,3 +239,35 @@ def test_verify_joint_without_a_coprime_prime_exits_2():
         code, out, err = _run(["verify", "--g", g, "--d", "3", "--x", x, "--d1", "3"])
         assert code == 2 and out == "", (g, x)
         assert err == f"error: no prime p <= {x} has nu_p(g) = 0 for g = {g}\n"
+
+
+_NO_MA_SCRIPT = """
+import io, sys
+from ordense.cli import run
+from ordense.decomp import decompose
+from ordense.density import (
+    TruncationConfig, delta_charform, delta_general_series, delta_level_q_series,
+)
+dec = decompose(2)
+cfg = TruncationConfig(t_max=40, n_max=40, v_max=400)
+delta_general_series(dec, 1, 6, cfg)
+delta_level_q_series(dec, 1, 3, cfg)
+delta_charform(dec, 1, 5, 1000)
+argv = ["verify", "--g", "2", "--d", "3", "--x", "20000", "--pmax", "1000"]
+assert run(argv, io.StringIO(), io.StringIO()) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_series_and_verify_never_import_numpy_ma():
+    # a bare np.unique imports numpy.ma on first use, about 15 ms per process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MA_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False", out.stderr

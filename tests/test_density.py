@@ -518,7 +518,7 @@ def test_example_stratum_series_oracle():
             for v in range(1, vmax + 1):
                 if v % 3 == 0:
                     continue
-                if dec.disc_g0 % 3 == 0 and sqrt_qstar_in_kvv(dec, 3, 0, v):
+                if dec.disc_g0 % 3 == 0 and sqrt_qstar_in_kvv(dec, 3, v):
                     continue
                 inner = sum(
                     moebius(v // t) for t in range(1, v + 1) if v % t == 0 and t % 3 == a

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ordense.arith import euler_phi, kronecker
-from ordense.decomp import decompose
+from ordense.arith import euler_phi, kronecker, nu2
+from ordense.decomp import decompose, n_r
 from ordense.kummer import (
     UNSUPPORTED,
     _eps2,
+    coefficient_table,
     entanglement_coefficient,
     intersection_degree,
     kummer_degree,
@@ -148,26 +149,24 @@ def test_intersection_degree_in_range_panel():
 
 def test_sqrt_qstar_examples():
     d5 = decompose(5)
-    assert sqrt_qstar_in_kvv(d5, 5, 0, 2)  # K(2,2) = Q(sqrt 5)
+    assert sqrt_qstar_in_kvv(d5, 5, 2)  # K(2,2) = Q(sqrt 5)
     d2 = decompose(2)
     for v in (1, 2, 3, 4, 6, 8):
-        assert not sqrt_qstar_in_kvv(d2, 5, 0, v)  # 5 does not divide D(2) = 8
-    # s >= 1 never yields the quadratic field
-    assert not sqrt_qstar_in_kvv(d5, 5, 1, 2)
+        assert not sqrt_qstar_in_kvv(d2, 5, v)  # 5 does not divide D(2) = 8
     with pytest.raises(ValueError):
-        sqrt_qstar_in_kvv(d5, 5, 0, 10)  # q | v
+        sqrt_qstar_in_kvv(d5, 5, 10)  # q | v
     with pytest.raises(ValueError):
-        sqrt_qstar_in_kvv(d5, 9, 0, 2)
+        sqrt_qstar_in_kvv(d5, 9, 2)
 
 
 def test_sqrt_qstar_negative_g_condition():
     dm4 = decompose(-4)  # h = 2, threshold 4; D(g0) = 8, no odd prime
-    assert not sqrt_qstar_in_kvv(dm4, 3, 0, 2)
+    assert not sqrt_qstar_in_kvv(dm4, 3, 2)
     dm12 = decompose(-12)  # g0 = 12? no: 12 not a power; g0 = 12, D = 12? kernel 3 -> D = 12... odd prime 3
     # pick g = -3: D(g0) = 12, n1 = m = 6, n1/3 = 2
     dm3 = decompose(-3)
-    assert sqrt_qstar_in_kvv(dm3, 3, 0, 2)  # 2 | v even, hc2 = 2 | v holds
-    assert not sqrt_qstar_in_kvv(dm3, 3, 0, 1)  # n1/q = 2 does not divide 1
+    assert sqrt_qstar_in_kvv(dm3, 3, 2)  # 2 | v even, hc2 = 2 | v holds
+    assert not sqrt_qstar_in_kvv(dm3, 3, 1)  # n1/q = 2 does not divide 1
 
 
 def test_cg_examples():
@@ -268,3 +267,79 @@ def test_cg_congruence_modulus_reduction():
                         if full is UNSUPPORTED or red is UNSUPPORTED:
                             continue
                         assert full == red, (g, d, a, t, n)
+
+
+CG_PANEL = [2, 3, 5, 12, -3, -4, -2, Fraction(1, 2), Fraction(-1, 2)]
+BIG = Fraction(2**61 - 1, 2**31 - 1)  # D(g0) has 92 bits
+
+
+def _kf(dec, f):
+    return math.lcm(f, dec.m, dec.disc_g0, 2 << (nu2(dec.h) + nu2(f)))
+
+
+def _cg_int(dec, b, f, v):
+    c = entanglement_coefficient(dec, b, f, v)
+    return -1 if c is UNSUPPORTED else c
+
+
+def test_cg_reads_b_mod_f_and_gcd_v_kf():
+    # c_g(b, f, v) = c_g(b mod f, f, gcd(v, K_f)), UNSUPPORTED included
+    seen = set()
+    for g in CG_PANEL:
+        dec = decompose(g)
+        for d in (4, 6, 8, 12, 24):
+            for f in (d, 2 * d, 3 * d):
+                kf = _kf(dec, f)
+                for b in range(1, 2 * f, 3):
+                    if math.gcd(b, f) != 1:
+                        continue
+                    for v in range(1, 201):
+                        c = _cg_int(dec, b, f, v)
+                        assert c == _cg_int(dec, b % f, f, math.gcd(v, kf)), (g, b, f, v)
+                        seen.add(c)
+    assert seen == {-1, 0, 1}
+
+
+def _table_inputs(dtype):
+    # b = 1 + t*a and f = d*t_d as the double series forms them, d = 12, a = 5
+    d, a = 12, 5
+    t = np.array([x for x in range(1, 61) if math.gcd(1 + x * a, d) == 1])
+    td = np.array([math.gcd(x, d**6) for x in t.tolist()])
+    i = np.repeat(np.arange(len(t)), 30)
+    v = np.tile(np.arange(1, 31), len(t)) * t[i]
+    return (1 + t * a).astype(dtype), (d * td).astype(dtype), i, v.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_coefficient_table_matches_scalar(dtype):
+    b, f, i, v = _table_inputs(dtype)
+    seen = set()
+    for g in CG_PANEL + [BIG, -BIG]:
+        dec = decompose(g)
+        want = [_cg_int(dec, int(b[k]), int(f[k]), int(x)) for k, x in zip(i, v.tolist())]
+        table = coefficient_table(dec, b, f)
+        assert table(i, v).tolist() == want, g
+        # a second call reads the memo and agrees, also on a reordered block
+        assert table(i[::-1], v[::-1]).tolist() == want[::-1], g
+        seen.update(want)
+    assert seen == {-1, 0, 1}
+
+
+def test_sqrt_qstar_array_matches_scalar():
+    for g in G_PANEL + [BIG, -BIG]:
+        dec = decompose(g)
+        for q in (3, 5, 7, 13):
+            v = np.array([x for x in range(1, 400) if x % q])
+            want = [bool(sqrt_qstar_in_kvv(dec, q, x)) for x in v.tolist()]
+            for arr in (v, v.astype(object)):
+                got = sqrt_qstar_in_kvv(dec, q, arr)
+                assert got.dtype == bool and got.tolist() == want, (g, q)
+    # 3 | D(g0), which has 96 bits: Python ints, with n_1 / 3 | v reached
+    dec = decompose(3 * BIG)
+    w = n_r(dec, 1) // 3
+    v = np.array([1, 2, 4, w, 2 * w, 4 * w, 5 * w], dtype=object)
+    want = [bool(sqrt_qstar_in_kvv(dec, 3, x)) for x in v.tolist()]
+    assert want == [False] * 3 + [True] * 4
+    assert sqrt_qstar_in_kvv(dec, 3, v).tolist() == want
+    with pytest.raises(ValueError):
+        sqrt_qstar_in_kvv(decompose(5), 5, np.array([2, 10]))
