@@ -17,12 +17,31 @@ Constants:
                   so it is evaluated as A_chi times exact local corrections
                   there (closed-form local factor over generic factor)
 
-Partial products run over primes up to a cutoff P and carry a rigorous tail
-bound: each omitted factor differs from 1 by at most 2.05/p^2, and
-sum_{p>P} 1/p^2 <= 2.52/(P log P) by partial summation against
-pi(t) <= 1.26 t/log t.  Products are accumulated in fixed-size chunks in a
-fixed order, so results are bit-identical however the work is scheduled.
-The primes come from the package's one sieve, ordense.sieve.primes_upto.
+Partial products run over the primes up to a cutoff P.  At a prime p not
+dividing q, with c = chi(p), A_chi's factor factors exactly as
+
+    1 + (c-1)p / ((p^2-c)(p-1)) = (1-u)(1+cx)/(1-cy),
+    u = 1/(p(p-1)),  x = 1/(p^3-p^2-p),  y = 1/p^2.
+
+The primes up to P0 = 1000 give exact factors.  Above P0 each log is
+expanded to M = 2 terms, so the factor's log is w_0(p) + sum_{m<=M} c^m
+w_m(p) with w_0 = -sum_{m<=M} u^m/m and w_m = ((-1)^(m+1) x^m + y^m)/m.
+The sums S[m, r] of w_m(p) over the primes P0 < p <= P with p = r (mod
+q^s) are built in one pass over those primes per (modulus, cutoff) and
+cached; each character then costs exp(sum over units r of S[0, r] +
+sum_m chi(r)^m S[m, r]), O(M q) work.  Artin's constant reads S[0] at
+modulus 1.
+
+Two rigorous bounds make up the tail bound.  Each omitted factor (p > P)
+differs from 1 by at most 2.05/p^2, and sum_{p>P} 1/p^2 <= 2.52/(P log P)
+by partial summation against pi(t) <= 1.26 t/log t.  Since x, y < u, the
+series truncation leaves at most 3u^(M+1)/((M+1)(1-u)) = u^3/(1-u) per
+prime, and over the odd p > P0 that sums to at most sum over even k >= 1000
+of k^-6 (times 1 + 1e-6) <= 1.1e-16, taken as 2.0e-16.  Both enter the
+bound through the log, as |value| expm1(sum of the two).  Sums are
+accumulated in fixed-size chunks in a fixed order, so results are
+bit-identical however the work is scheduled.  The primes come from the
+package's one sieve, ordense.sieve.primes_upto.
 """
 
 from __future__ import annotations
@@ -51,7 +70,11 @@ __all__ = [
 ]
 
 _TAIL_CONST = 5.2  # 2 * 1.021 * 2.52, see module docstring
-_CHUNK = 1 << 16
+_SERIES_FROM = 1000  # P0: primes above it enter through the class sums
+_SERIES_TERMS = 2  # M
+_SERIES_REMAINDER = 2.0e-16  # truncation bound over all p > P0, see module docstring
+# primes per bincount pass: a chunk's float temporaries stay near 1 MB
+_CHUNK = 1 << 14
 DEFAULT_PRIME_CUTOFF = 10**7
 # largest prime cutoff accepted: the sieve holds one byte per integer up to
 # it; 1e8 is also the census's bound
@@ -195,22 +218,10 @@ def h_chi(chi: DirichletCharacter, v: int) -> complex:
     return out
 
 
-def _chunked_prod(values: np.ndarray, factor) -> complex:
-    """Product of factor(chunk) over consecutive _CHUNK-sized chunks of values.
-
-    Only one chunk's factors exist at a time, so the temporaries stay
-    bounded whatever the length of values.
-    """
-    out = 1 + 0j
-    for i in range(0, len(values), _CHUNK):
-        out *= complex(np.prod(factor(values[i : i + _CHUNK])))
-    return out
-
-
 def _generic_factor(p, c):
     """A_chi's factor 1 + (c-1)*p / ((p^2-c)*(p-1)) at a prime p, c = chi(p) != 0.
 
-    Takes arrays (a_chi) or scalars (c_chi).  Never 0: its numerator
+    Takes arrays (a_chi, primes <= P0) or scalars (c_chi).  Never 0: its numerator
     p^3 - p^2 - p + c has no root with |c| = 1.
     """
     return 1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))
@@ -224,11 +235,56 @@ def check_prime_cutoff(prime_cutoff: int) -> None:
         raise ValueError("prime_cutoff must be <= 1e8")
 
 
-def _tail_factor(prime_cutoff: int) -> float:
-    return math.expm1(_TAIL_CONST / (prime_cutoff * math.log(prime_cutoff)))
+def _tail_factor(prime_cutoff: int, tail_const: float = _TAIL_CONST) -> float:
+    """Relative tail bound: the omitted primes plus, above P0, the series truncation."""
+    log_bound = tail_const / (prime_cutoff * math.log(prime_cutoff))
+    if prime_cutoff > _SERIES_FROM:
+        log_bound += _SERIES_REMAINDER
+    return math.expm1(log_bound)
 
 
-_euler_cache: dict[tuple, EulerProductValue] = {}
+_euler_cache: dict[tuple, EulerProductValue | np.ndarray] = {}
+
+
+def _sum_by_class(primes: np.ndarray, modulus: int) -> np.ndarray:
+    """S[m, r] = sum of w_m(p) over the given primes p = r (mod modulus).
+
+    w_0, ..., w_M are the series weights of the module docstring.  One
+    bincount per weight and chunk of _CHUNK primes, so the temporaries stay
+    bounded whatever the number of primes.
+    """
+    sums = np.zeros((_SERIES_TERMS + 1, modulus))
+    for i in range(0, len(primes), _CHUNK):
+        chunk = primes[i : i + _CHUNK]
+        residue = chunk % modulus
+        p = chunk.astype(np.float64)
+        u = 1.0 / (p * (p - 1.0))
+        x = 1.0 / (p * (p * p - p - 1.0))
+        y = 1.0 / (p * p)
+        w0 = np.zeros_like(p)
+        um, xm, ym = u, x, y
+        for m in range(1, _SERIES_TERMS + 1):
+            w0 -= um / m
+            sign = 1.0 if m % 2 else -1.0
+            sums[m] += np.bincount(residue, (sign * xm + ym) / m, minlength=modulus)
+            um, xm, ym = um * u, xm * x, ym * y
+        sums[0] += np.bincount(residue, w0, minlength=modulus)
+    return sums
+
+
+def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
+    """_sum_by_class over the primes P0 < p <= prime_cutoff, cached per (modulus, cutoff)."""
+    key = ("s", modulus, prime_cutoff)
+    sums = _euler_cache.get(key)
+    if sums is None:
+        primes = primes_upto(prime_cutoff)
+        # a slice, so a view of the cached primes rather than a copy
+        sums = _sum_by_class(
+            primes[int(np.searchsorted(primes, _SERIES_FROM, side="right")) :], modulus
+        )
+        sums.flags.writeable = False
+        _euler_cache[key] = sums
+    return sums
 
 
 def a_chi(
@@ -236,7 +292,9 @@ def a_chi(
 ) -> EulerProductValue:
     """Partial product for A_chi over primes <= prime_cutoff.
 
-    The principal character gives exactly 1 (every factor is 1).
+    Exact factors at the primes up to P0 = 1000, times exp of the class
+    sums weighted by chi(r)^m above P0 (see the module docstring).  The
+    principal character gives exactly 1 (every factor is 1).
     """
     check_prime_cutoff(prime_cutoff)
     if chi.is_principal:
@@ -245,13 +303,22 @@ def a_chi(
     hit = _euler_cache.get(key)
     if hit is not None:
         return hit
-    primes = primes_upto(prime_cutoff)
-    # chi(p) = 0 exactly at p = q, the prime of the modulus q^s
     table = chi.value_table()
-    value = _chunked_prod(
-        primes[primes != chi._group.prime],
-        lambda p: _generic_factor(p.astype(np.float64), table[p % chi.modulus]),
+    # chi(p) = 0 exactly at p = q, the prime of the modulus q^s; above P0
+    # it falls in the class r = 0, which only the units r skip
+    exact = primes_upto(min(prime_cutoff, _SERIES_FROM))
+    exact = exact[exact != chi._group.prime]
+    value = complex(
+        np.prod(_generic_factor(exact.astype(np.float64), table[exact % chi.modulus]))
     )
+    if prime_cutoff > _SERIES_FROM:
+        sums = _class_sums(chi.modulus, prime_cutoff)
+        log = complex(sums[0][table != 0].sum())
+        power = table
+        for m in range(1, _SERIES_TERMS + 1):
+            log += complex(power @ sums[m])
+            power = power * table
+        value *= cmath.exp(log)
     out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
     _euler_cache[key] = out
     return out
@@ -327,9 +394,11 @@ def c_chi(
 def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """Artin's constant prod_p (1 - 1/(p(p-1))) over primes <= prime_cutoff."""
     check_prime_cutoff(prime_cutoff)
-    value = _chunked_prod(
-        primes_upto(prime_cutoff), lambda p: 1.0 - 1.0 / (p * (p - 1.0))
-    ).real
+    p = primes_upto(min(prime_cutoff, _SERIES_FROM)).astype(np.float64)
+    value = float(np.prod(1.0 - 1.0 / (p * (p - 1.0))))
+    if prime_cutoff > _SERIES_FROM:
+        # the factor is 1 - u, whose log is the weight w_0; modulus 1 has one class
+        value *= math.exp(_class_sums(1, prime_cutoff)[0, 0])
     # |factor - 1| = 1/(p(p-1)) <= 1.02/p^2 here, same tail shape as a_chi
-    tail = abs(value) * math.expm1(2.6 / (prime_cutoff * math.log(prime_cutoff)))
+    tail = abs(value) * _tail_factor(prime_cutoff, 2.6)
     return EulerProductValue(value, tail, prime_cutoff)

@@ -144,6 +144,36 @@ def test_a_chi_memory_bounded(monkeypatch):
     assert peak < 12 * 2**20, peak
 
 
+def test_a_chi_sums_built_once_per_modulus(monkeypatch):
+    # the per-class prime sums are one pass per (modulus, cutoff), whatever
+    # the number of characters
+    monkeypatch.setattr(ordense.characters, "_euler_cache", {})
+    builds = []
+    build = ordense.characters._sum_by_class
+
+    def counting(primes, modulus):
+        builds.append(modulus)
+        return build(primes, modulus)
+
+    monkeypatch.setattr(ordense.characters, "_sum_by_class", counting)
+    for chi in character_group(1009):
+        a_chi(chi, 10**6)
+    assert builds == [1009]
+
+
+def test_a_chi_memory_bounded_for_large_modulus(monkeypatch):
+    # one chunk of the class-sum pass plus O(q) sums and value table
+    primes_upto(10**7)
+    monkeypatch.setattr(ordense.characters, "_euler_cache", {})
+    tracemalloc.start()
+    try:
+        a_chi(character_group(1009).characters[1], 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
 def test_character_group_memory_linear_in_q():
     # a group holds O(q): each value table is built when asked for, where
     # eager phi(q) x q complex tables held 15.7 MB at q = 1009
@@ -162,6 +192,56 @@ def test_value_table_matches_calls():
         for chi in grp.characters[:: max(1, grp.phi // 7)]:
             want = [chi(n) for n in range(q)]
             assert chi.value_table().tolist() == want, (q, chi.index)
+
+
+def _a_chi_direct_product(chi, prime_cutoff):
+    """A_chi as one product of the generic factor over the primes <= prime_cutoff, p != q."""
+    primes = primes_upto(prime_cutoff)
+    primes = primes[primes != chi._group.prime]
+    p, c = primes.astype(np.float64), chi.value_table()[primes % chi.modulus]
+    return complex(np.prod(1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))))
+
+
+def test_a_chi_matches_direct_product():
+    # cutoffs on both sides of P0 = 1000; at q = 1009 > P0 the prime q falls
+    # in the class-sum range
+    for q in (3, 5, 7, 9, 11, 25, 1009):
+        chars = character_group(q).characters[1:]
+        for cutoff in (100, 997, 1000, 1009, 1013, 10**5, 3 * 10**6):
+            for chi in chars[:: max(1, len(chars) // 12)]:
+                got = a_chi(chi, cutoff).value
+                want = _a_chi_direct_product(chi, cutoff)
+                assert abs(got - want) <= 1e-12 * abs(want), (q, chi.index, cutoff, got, want)
+            p = primes_upto(cutoff).astype(np.float64)
+            want = float(np.prod(1.0 - 1.0 / (p * (p - 1.0))))
+            assert abs(artin_constant(cutoff).value - want) <= 1e-12 * want, cutoff
+
+
+def _log_one_plus(z):
+    """log(1 + z) for small complex z, to about an ulp of |z|."""
+    a, b = z.real, z.imag
+    return 0.5 * np.log1p(a * (2.0 + a) + b * b) + 1j * np.arctan2(b, 1.0 + a)
+
+
+def test_series_truncation_within_remainder():
+    # the M = 2 log series of every factor above P0, against the log of the
+    # factor itself: the sum of the differences is what the tail bound
+    # adds as _SERIES_REMAINDER
+    cutoff = 10**5
+    remainder = ordense.characters._SERIES_REMAINDER
+    primes = primes_upto(cutoff)
+    for q in (5, 11):
+        for chi in character_group(q).characters[1:]:
+            kept = primes[(primes > 1000) & (primes != q)]
+            p, c = kept.astype(np.float64), chi.value_table()[kept % q]
+            u, x, y = 1 / (p * (p - 1)), 1 / (p**3 - p**2 - p), 1 / p**2
+            series = -(u + u**2 / 2) + c * (x + y) + c**2 * (y**2 - x**2) / 2
+            exact = _log_one_plus((c - 1) * p / ((p * p - c) * (p - 1)))
+            assert abs(np.sum(exact - series)) <= remainder, (q, chi.index)
+            val = a_chi(chi, cutoff)
+            omitted = abs(val.value) * math.expm1(5.2 / (cutoff * math.log(cutoff)))
+            # 0.99: the difference of two roundings of about 3e-6 each
+            assert val.tail_bound - omitted >= 0.99 * abs(val.value) * remainder, (q, chi.index)
 
 
 def test_artin_constant_reference():
