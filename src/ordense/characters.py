@@ -305,7 +305,7 @@ def a_chi(
         return hit
     table = chi.value_table()
     # chi(p) = 0 exactly at p = q, the prime of the modulus q^s; above P0
-    # it falls in the class r = 0, which only the units r skip
+    # it is the one prime of class r = 0, which the sum over units skips
     exact = primes_upto(min(prime_cutoff, _SERIES_FROM))
     exact = exact[exact != chi._group.prime]
     value = complex(
