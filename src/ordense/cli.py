@@ -19,6 +19,7 @@ or CSV/plain text via --format.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -335,7 +336,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr/sys.stdout
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

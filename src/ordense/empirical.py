@@ -10,7 +10,10 @@ The factor sieve runs in segments of SEGMENT numbers, and x is refused
 beyond X_LIMIT.  Each segment's primes come from the package's one sieve,
 ordense.sieve.sieve_primes, and the primes dividing p - 1 from its cached
 primes_upto.  It leaves, per segment, the primes, the flat list of their
-factors and the bounds of each prime's slice of that list.  Factorizations
+factors and the bounds of each prime's slice of that list.  Every p - 1 of
+an odd p is even, so the sieve's index array covers only the even numbers
+of the window, and each factor found goes straight to its prime's next
+fill slot of the flat list, which therefore needs no sort.  Factorizations
 of p - 1 are independent of g and are cached, so counting runs for several
 g over the same x pay the sieve cost once.  The census takes its primes
 from the same sieve uncached (sieve_primes), so they are freed on return.
@@ -96,50 +99,55 @@ class CountTable:
 def _segment_factored(lo: int, hi: int, base: np.ndarray):
     """Primes p in [lo, hi) with the distinct prime factors of each p - 1.
 
-    Returns (primes list, factor lists).  The one sieve finds the primes;
-    then, over the window [lo-1, hi), every base prime s collects which
-    p - 1 it divides, and division chains expose the single factor
-    exceeding sqrt(hi) if present.
+    Returns (pvals, fcat, bounds): the primes, the flat list of their
+    factors and the bounds of each prime's slice of it, factors in
+    ascending order with the single one exceeding sqrt(hi), if present,
+    last.  p = 2 has none.  Every other p - 1 is even, so tid indexes only
+    the even numbers of the window [lo - 1, hi), and the base primes s
+    collect which p - 1 they divide: s = 2 takes every odd prime, an odd s
+    visits the multiples of 2s, stride s in tid.  Division chains expose
+    the factor beyond sqrt(hi).  Each factor goes to a per-prime fill slot,
+    so the flat list needs no sort.
     """
     pvals = sieve_primes(hi - 1, lo)
-    if len(pvals) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return pvals, empty, np.zeros(1, dtype=np.int64)
-    # factor the p-1 window values
-    wlo = lo - 1
-    n = hi - wlo
-    tpos = pvals - 1 - wlo
-    # index of each prime at position p - 1 - wlo, else -1; int32 suffices
-    # (a segment holds far fewer than 2^31 numbers) and halves this largest array
-    tid = np.full(n, -1, dtype=np.int32)
-    tid[tpos] = np.arange(len(tpos))
-    rem = (pvals - 1).copy()
-    pair_t: list[np.ndarray] = []
-    pair_f: list[np.ndarray] = []
-    for s in base:
-        s = int(s)
+    # the smallest even >= lo - 1; tid[j] stands for e0 + 2j
+    e0 = lo - lo % 2
+    # p = 2, first when lo <= 2, has p - 1 = 1 and no factor
+    odd = np.arange(int(lo <= 2), len(pvals), dtype=np.int32)
+    # index of each odd prime at position (p - 1 - e0) / 2, else -1; int32
+    # suffices (a segment holds far fewer than 2^31 numbers)
+    tid = np.full((hi - e0) // 2, -1, dtype=np.int32)
+    tid[(pvals[odd] - 1 - e0) >> 1] = odd
+    rem = pvals - 1
+    # p - 1 < 2^30 has at most 9 distinct prime factors, so counts fit uint8
+    fill = np.zeros(len(pvals), dtype=np.uint8)
+    found: list[tuple[np.ndarray, np.ndarray, int | np.ndarray]] = []
+    for s in base.tolist():
         if s >= hi:
             break
-        start = ((wlo + s - 1) // s) * s
-        idx = tid[start - wlo :: s]
-        sel = idx[idx >= 0]
-        if len(sel) == 0:
-            continue
-        pair_t.append(sel)
-        pair_f.append(np.full(len(sel), s, dtype=np.int64))
-        cur = sel
-        while len(cur):
-            rem[cur] //= s
-            cur = cur[rem[cur] % s == 0]
+        if s == 2:
+            sel = odd
+            # the lowest set bit of each p - 1 is its whole power of 2
+            rem //= rem & -rem
+        else:
+            start = -(-e0 // (2 * s)) * 2 * s
+            sel = tid[(start - e0) // 2 :: s]
+            sel = sel[sel >= 0]
+            cur = sel
+            while len(cur):
+                rem[cur] //= s
+                cur = cur[rem[cur] % s == 0]
+        found.append((sel, fill[sel], s))
+        fill[sel] += 1
+    del tid  # the largest array; no view of it is left, so this frees it before fcat
     big = np.flatnonzero(rem > 1)
-    if len(big):
-        pair_t.append(big)
-        pair_f.append(rem[big])
-    tcat = np.concatenate(pair_t) if pair_t else np.empty(0, dtype=np.int64)
-    fcat = np.concatenate(pair_f) if pair_f else np.empty(0, dtype=np.int64)
-    order = np.argsort(tcat, kind="stable")
-    fcat = fcat[order]
-    bounds = np.searchsorted(tcat[order], np.arange(len(pvals) + 1))
+    found.append((big, fill[big], rem[big]))
+    fill[big] += 1
+    bounds = np.zeros(len(pvals) + 1, dtype=np.int64)
+    np.cumsum(fill, dtype=np.int64, out=bounds[1:])
+    fcat = np.empty(int(bounds[-1]), dtype=np.int64)
+    for sel, slot, f in found:
+        fcat[bounds[sel] + slot] = f
     return pvals, fcat, bounds
 
 

@@ -7,7 +7,9 @@ series (density).  Both caches grow to the largest limit asked for and are
 never trimmed, so a smaller request is a slice of what is already held.
 The census (empirical) needs every prime up to its x only once, and each
 segment of the p - 1 factor sieve (empirical) needs only its own window, so
-both call the uncached sieve_primes and own what it returns.
+both call the uncached sieve_primes and own what it returns.  sieve_primes
+holds one flag per odd number of its window, so 2 is never a crossing-off
+stride, and the flag of the number 1 stands for 2.
 """
 
 from __future__ import annotations
@@ -25,18 +27,29 @@ _table_cache: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 def sieve_primes(hi: int, lo: int = 2) -> np.ndarray:
     """The primes in [lo, hi] as an int64 array, uncached: the caller owns it.
 
-    Crosses off, over the window alone, the multiples of the primes up to
-    sqrt(hi), which it finds by sieving [2, sqrt(hi)] the same way.
+    Sieves the odd numbers alone: index i of its bool array stands for
+    o + 2i, o the largest odd <= lo.  Each odd prime s up to sqrt(hi),
+    found by sieving [2, sqrt(hi)] the same way, crosses off its odd
+    multiples from the first one >= max(s^2, lo), which is stride s in the
+    index.  When lo = 2, index 0 (the number 1, never crossed off) stands
+    for 2 and is overwritten in the output.
     """
     lo = max(lo, 2)
     if hi < lo:
         return np.empty(0, dtype=np.int64)
-    prime = np.ones(hi - lo + 1, dtype=bool)
-    for s in sieve_primes(math.isqrt(hi)).tolist():
-        start = max(s * s, -(-lo // s) * s)
-        prime[start - lo :: s] = False
+    o = lo - 1 + lo % 2
+    prime = np.ones((hi - o) // 2 + 1, dtype=bool)
+    if lo > 2 and lo % 2 == 0:
+        prime[0] = False  # o = lo - 1 lies below the window
+    for s in sieve_primes(math.isqrt(hi)).tolist()[1:]:
+        m = -(-lo // s) * s
+        start = max(s * s, m if m % 2 else m + s)
+        prime[(start - o) // 2 :: s] = False
     primes = np.flatnonzero(prime).astype(np.int64, copy=False)
-    primes += lo
+    primes *= 2
+    primes += o
+    if lo == 2:
+        primes[0] = 2
     return primes
 
 

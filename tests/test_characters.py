@@ -122,6 +122,18 @@ def test_a_chi_conjugate_symmetry(pmax):
             assert abs(v2.value - v1.value.conjugate()) < 1e-13
 
 
+def test_quarter_turn_values_exact():
+    # chi(n) in {1, i, -1, -i} is exact, so a real character's product is
+    # real (+0.0 imaginary part) and order-4 conjugates are exact conjugates
+    for q in (3, 5, 7, 9, 11, 13, 25):
+        for chi in character_group(q):
+            v = a_chi(chi, 10**6).value
+            if chi.order <= 2:
+                assert v.imag == 0.0 and math.copysign(1.0, v.imag) == 1.0, (q, chi.index)
+            if chi.order == 4:
+                assert a_chi(chi.conjugate(), 10**6).value == v.conjugate(), (q, chi.index)
+
+
 def test_a_chi_tail_bound_honest():
     for q in (3, 5):
         for chi in character_group(q):

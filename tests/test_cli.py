@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,11 +77,24 @@ def test_validation_exit_codes():
         assert code == 2, argv
 
 
+def test_argparse_messages_go_to_run_streams(capsys):
+    code, out, err = _run(["verify", "--g", "2"])
+    assert code == 2 and out == ""
+    assert "usage: ordense verify" in err and "required" in err
+    code, out, err = _run(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: ordense")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_constants_table():
     code, out, _ = _run(["constants", "--q", "3", "--pmax", "1000000"])
     assert code == 0
     assert '"index":0' in out and '"order":1' in out
     assert '"re":1,"im":0,"tail_bound":0' in out  # principal character
+    code, out, _ = _run(["constants", "--q", "5", "--pmax", "1000000"])
+    # the real character mod 5 prints an exact 0, not -0 or a round-off
+    assert re.search(r'"index":2,"order":2,"re":[0-9.e-]+,"im":0,', out)
 
 
 def test_census_output():

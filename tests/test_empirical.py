@@ -1,6 +1,8 @@
 import io
+import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import ordense.cli as cli
 import ordense.empirical as emp
 import ordense.sieve as sieve
-from ordense.arith import factorize, squarefree_kernel
+from ordense.arith import factorize, is_prime, squarefree_kernel
 from ordense.empirical import (
     OrderRecord,
     census_exceptional,
@@ -120,16 +122,50 @@ def test_segmented_equals_monolithic(monkeypatch):
 
 def test_chunks_hold_every_prime_and_factor(monkeypatch):
     # the scalar oracle reads these same chunks, so it cannot see a prime
-    # or a factor of p - 1 lost at a segment edge
-    monkeypatch.setattr(emp, "SEGMENT", 997)
-    chunks = emp._factored_chunks(10**5)
-    assert len(chunks) > 100
-    primes = [p for pvals, _, _ in chunks for p in pvals.tolist()]
-    assert primes == sieve.primes_upto(10**5).tolist()
-    for pvals, fcat, bounds in chunks:
-        for i, p in enumerate(pvals.tolist()):
-            ells = fcat[bounds[i] : bounds[i + 1]].tolist()
-            assert sorted(ells) == sorted(factorize(p - 1).primes), p
+    # or a factor of p - 1 lost at a segment edge; odd and even segment
+    # sizes start windows at both parities of lo, and sizes 1 and 2 give
+    # windows of one or two numbers
+    for size, x in ((1, 300), (2, 300), (997, 10**5), (1000, 10**5)):
+        monkeypatch.setattr(emp, "SEGMENT", size)
+        chunks = emp._factored_chunks(x)
+        assert len(chunks) == -(-(x - 1) // size)  # the x - 1 numbers of [2, x]
+        primes = [p for pvals, _, _ in chunks for p in pvals.tolist()]
+        assert primes == sieve.primes_upto(x).tolist()
+        for pvals, fcat, bounds in chunks:
+            _assert_factors_of_p_minus_1(pvals, fcat, bounds)
+
+
+def _assert_factors_of_p_minus_1(pvals, fcat, bounds):
+    assert pvals.dtype == fcat.dtype == bounds.dtype == "int64"
+    assert len(bounds) == len(pvals) + 1 and bounds[0] == 0 and bounds[-1] == len(fcat)
+    for i, p in enumerate(pvals.tolist()):
+        # ascending, so the factor beyond sqrt(hi) comes last
+        assert fcat[bounds[i] : bounds[i + 1]].tolist() == list(factorize(p - 1).primes), p
+
+
+# only the prime 2; 2 and 3; no prime; odd lo; just below X_LIMIT
+@pytest.mark.parametrize(
+    "lo, hi", [(2, 3), (2, 4), (24, 29), (3, 1000), (emp.X_LIMIT - 4000, emp.X_LIMIT + 1)]
+)
+def test_segment_factored_window(lo, hi):
+    pvals, fcat, bounds = emp._segment_factored(lo, hi, sieve.primes_upto(math.isqrt(hi) + 1))
+    assert pvals.tolist() == [n for n in range(lo, hi) if is_prime(n)]
+    _assert_factors_of_p_minus_1(pvals, fcat, bounds)
+
+
+def test_segment_factored_memory_half_width():
+    # a 2^22 window: int32 ids of its even numbers only, and no sort of the
+    # (prime, factor) pairs peak near 25 MiB; ids of every number and an
+    # argsort of the pairs peak near 73 MiB
+    hi = 2**22 + 2
+    base = sieve.primes_upto(math.isqrt(hi) + 1)
+    tracemalloc.start()
+    try:
+        emp._segment_factored(2, hi, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
 
 
 def test_x_beyond_limit_refused_before_work(monkeypatch):

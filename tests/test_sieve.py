@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 import ordense.sieve as sieve
 from ordense.arith import euler_phi, factorize, is_prime, moebius
+from ordense.empirical import X_LIMIT
 from ordense.sieve import primes_upto, sieve_primes, tables
 
 
@@ -17,10 +20,21 @@ def test_tables_match_arith():
 
 
 # windows from the bottom of the range; windows starting just below, at and
-# just above a square p^2, where p starts crossing off; one around 1e6
+# just above a square p^2, where p starts crossing off, and windows ending
+# there, with lo and hi of both parities; one around 1e6.  Then tiny windows
+# from lo = 2 (2 takes the flag of the number 1), 3 and 4 (an even lo > 2
+# drops the odd number below it), and one just below X_LIMIT
 WINDOWS = [(lo, 1000) for lo in (0, 1, 2, 3)]
 WINDOWS += [(p * p + k, p * p + 3 * p + k) for p in (2, 3, 5, 7, 31, 997) for k in (-1, 0, 1)]
 WINDOWS += [(10**6 - 1000, 10**6 + 1000)]
+WINDOWS += [(p * p + k, p * p + 3 * p + k + 1) for p in (2, 3, 5, 7, 31, 997) for k in (-1, 0, 1)]
+WINDOWS += [
+    (p * p - 2 * p + j, p * p + k) for p in (2, 3, 5, 7, 31, 997) for j in (0, 1) for k in (-1, 0, 1)
+]
+WINDOWS += [(lo, hi) for lo in (2, 3, 4) for hi in range(lo, 10)]
+WINDOWS += [(X_LIMIT - 2000, X_LIMIT)]
+# one id per window: a repeated one would rename both
+WINDOWS = list(dict.fromkeys(WINDOWS))
 
 
 @pytest.mark.parametrize("lo, hi", WINDOWS)
@@ -45,3 +59,16 @@ def test_primes_upto_after_a_larger_call(monkeypatch):
     for limit in (996, 997, 1000):
         assert primes_upto(limit).tolist() == [n for n in range(limit + 1) if is_prime(n)]
     assert sieve._prime_cache["limit"] == 10**5
+
+
+def test_sieve_primes_memory_half_width():
+    # one flag per odd number (5e6 bytes) and the 664579 int64 primes
+    # (5.3e6 bytes); a flag per number, or 2 prepended by copying the
+    # primes, goes past 12 MiB
+    tracemalloc.start()
+    try:
+        sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
