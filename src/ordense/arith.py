@@ -1,8 +1,9 @@
 """Exact integer and rational arithmetic primitives.
 
-Factorization of 64-bit integers, the classical multiplicative functions
-(Moebius, Euler phi, p-adic valuation), the full Kronecker symbol, and
-discriminants of quadratic fields Q(sqrt(g)) for rational g.
+Factorization of 64-bit integers and the odd-prime-power parse built on it,
+the classical multiplicative functions (Moebius, Euler phi, p-adic
+valuation), the full Kronecker symbol, and discriminants of quadratic
+fields Q(sqrt(g)) for rational g.
 
 All functions are pure, deterministic and reentrant; they can be called
 concurrently without synchronization.
@@ -17,6 +18,7 @@ from fractions import Fraction
 __all__ = [
     "Factorization",
     "factorize",
+    "odd_prime_power",
     "is_prime",
     "moebius",
     "euler_phi",
@@ -66,12 +68,6 @@ class Factorization:
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
-
-    def valuation(self, p: int) -> int:
-        for q, e in self.pairs:
-            if q == p:
-                return e
-        return 0
 
 
 def is_prime(n: int) -> bool:
@@ -152,6 +148,16 @@ def factorize(n: int) -> Factorization:
         stack.append(f)
         stack.append(m // f)
     return Factorization(tuple(sorted(fac.items())))
+
+
+def odd_prime_power(n: int) -> tuple[int, int] | None:
+    """(q, s) with n = q**s for an odd prime q, or None when n is no such power."""
+    if n < 2:
+        return None
+    fac = factorize(n)
+    if len(fac) != 1 or fac.pairs[0][0] == 2:
+        return None
+    return fac.pairs[0]
 
 
 def moebius(n: int) -> int:

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, valuation
+from .arith import factorize, odd_prime_power, valuation
 # bound here and called through this module global, so a wrapper installed
 # on ordense.characters.primes_upto sees every Euler product's sieve call
 from .sieve import primes_upto
@@ -156,10 +156,10 @@ class CharacterGroup:
     """All phi(q^s) Dirichlet characters mod an odd prime power q^s."""
 
     def __init__(self, modulus: int):
-        fac = factorize(modulus)
-        if len(fac) != 1 or fac.pairs[0][0] == 2:
+        qs = odd_prime_power(modulus)
+        if qs is None:
             raise ValueError(f"modulus must be an odd prime power, got {modulus}")
-        q, s = fac.pairs[0]
+        q, s = qs
         self.modulus = modulus
         self.prime = q
         self.phi = q ** (s - 1) * (q - 1)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .arith import factorize, is_prime, parse_rational
+from .arith import is_prime, odd_prime_power, parse_rational
 from .characters import a_chi, character_group
 from .decomp import decompose
 from .density import (
@@ -45,45 +46,20 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _to_json(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            _to_json(str(k), out)
-            out.append(":")
-            _to_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _to_json(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+def _to_json(obj) -> str:
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(_to_json(str(k)) + ":" + _to_json(v) for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_to_json, obj)) + "]"
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def _emit(payload: dict, fmt: str, stream) -> None:
     payload = {"schema": SCHEMA, **payload}
     if fmt == "json":
-        buf: list[str] = []
-        _to_json(payload, buf)
-        stream.write("".join(buf) + "\n")
+        stream.write(_to_json(payload) + "\n")
     elif fmt == "csv":
         flat = _flatten(payload)
         stream.write(",".join(k for k, _ in flat) + "\n")
@@ -205,7 +181,7 @@ def _cmd_degree(args, cfg) -> dict:
     if args.k < 1 or args.kr < 1 or args.kr % args.k:
         raise _CliError("need positive kr, k with k | kr")
     deg = kummer_degree(decompose(g), args.kr, args.k)
-    return {"g": args.g, "kr": args.kr, "k": args.k, "degree": deg}
+    return {"g": str(g), "kr": args.kr, "k": args.k, "degree": deg}
 
 
 def _cmd_decompose(args, cfg) -> dict:
@@ -225,14 +201,12 @@ def _cmd_decompose(args, cfg) -> dict:
 def _cmd_cg(args, cfg) -> dict:
     g = _parse_g(args.g)
     c = entanglement_coefficient(decompose(g), args.b, args.f, args.v)
-    if c is UNSUPPORTED:
-        return {"g": args.g, "b": args.b, "f": args.f, "v": args.v, "cg": "unsupported"}
-    return {"g": args.g, "b": args.b, "f": args.f, "v": args.v, "cg": c}
+    cg = "unsupported" if c is UNSUPPORTED else c
+    return {"g": str(g), "b": args.b, "f": args.f, "v": args.v, "cg": cg}
 
 
 def _cmd_constants(args, cfg) -> dict:
-    fac = factorize(args.q) if args.q >= 2 else None
-    if fac is None or len(fac) != 1 or fac.pairs[0][0] == 2:
+    if odd_prime_power(args.q) is None:
         raise _CliError("q must be an odd prime power")
     grp = character_group(args.q)
     rows = []

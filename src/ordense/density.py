@@ -19,7 +19,10 @@ C*h*d/truncation with C = 8; they are meant to be validated against the
 closed and character forms rather than trusted alone.  Character forms carry
 the rigorous Euler tail bounds of their constants.
 
-For composite d that is not an odd prime power some entanglement
+evaluate_density rescales an odd prime power d = q^s (arith.odd_prime_power)
+from level q through delta_prime_power, the one place that picks a level-q
+route for a method; only method 'series' at s > 1 takes the double series
+instead.  For composite d that is not an odd prime power some entanglement
 coefficients cannot be decided; the full series then returns an interval
 [lo, hi] instead of a point value, never a guess.
 
@@ -31,19 +34,20 @@ block of v with at most V_CELLS (v, class) cells.  Each block takes its
 degrees from the array kernel kummer_degrees and its sqrt(q*) condition
 from the same predicate the scalar c_g reads; the double series takes c_g
 from one kummer.coefficient_table per call, which decides what c_g reads.
-Each series adds its terms in the order of the scalar loop it replaced, so
-its sums are bit-identical to that loop's.
+Their integer arrays are int64 whenever the series' own degree numerators
+fit: kummer reads n_r from ordense.decomp and skips any modulus too large
+to divide.  Each series adds its terms in the order of the scalar loop it
+replaced, so its sums are bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, kronecker, nu2, valuation
+from .arith import euler_phi, factorize, is_prime, kronecker, odd_prime_power, valuation
 from .characters import (
     DEFAULT_PRIME_CUTOFF,
     CharacterGroup,
@@ -247,17 +251,15 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     cumsum seeded with the running sums adds the products left to right;
     a class with M_r(v) = 0 or a v outside the sqrt(q*) support adds a
     signed 0.0, which leaves a running sum unchanged.  The integers are
-    int64 when all fit (the degree numerators 2(q-1)phi(v)v < 2q v_max^2,
-    and n_1 with the lcm(hc2, D(g0)) <= 2 n_1 that kummer_degrees and
-    sqrt_qstar_in_kvv form beside it), else Python ints.
+    int64 when the degree numerators 2(q-1)phi(v)v < 2q v_max^2 fit, else
+    Python ints.
     """
     key = (dec.g, q, v_max)
     hit = _level_q_cache.get(key)
     if hit is not None:
         return hit
     spf, phi, _ = tables(v_max)
-    n1 = n_r(dec, 1)  # = n_r(dec, q), as q is odd
-    dt = _int_dtype(max(2 * q * v_max**2, 2 * n1))
+    dt = _int_dtype(2 * q * v_max**2)
     acc1 = np.zeros(q)
     acc2 = np.zeros(q)
     block = max(1, V_CELLS // max(q, 16))
@@ -488,9 +490,9 @@ def delta_avg(
     if method not in ("auto", "series"):
         raise ValueError("delta_avg supports methods 'auto' and 'series'")
     a %= d
-    fac = factorize(d)
-    if method != "series" and len(fac) == 1 and fac.pairs[0][0] != 2:
-        q, s = fac.pairs[0]
+    qs = odd_prime_power(d)
+    if method != "series" and qs is not None:
+        q, s = qs
         scale = q ** (s - 1)
         if a % q == 0:
             val = Fraction(q, q * q - 1) / scale
@@ -515,19 +517,6 @@ def delta_avg(
 # odd prime powers by rescaling, and the general double series
 
 
-def _level_q(dec, a, q, method, cfg):
-    a %= q
-    if a == 0:
-        if method == "series":
-            return zero_class_series(dec, q)
-        return delta_g_zero_class(dec, q)
-    if method == "series":
-        return delta_level_q_series(dec, a, q, cfg)[1]
-    if method in ("auto", "char"):
-        return delta_charform(dec, a, q, cfg.prime_cutoff)
-    raise ValueError(f"no closed form for the class {a} mod {q}; use char or series")
-
-
 def delta_prime_power(
     dec: GDecomposition,
     a: int,
@@ -536,11 +525,26 @@ def delta_prime_power(
     method: str = "auto",
     cfg: TruncationConfig = DEFAULT_CONFIG,
 ) -> DensityValue:
-    """delta_g(a, q^s) = q^(1-s) * delta_g(a, q), rescaled from level q."""
+    """delta_g(a, q^s) = q^(1-s) * delta_g(a, q), rescaled from level q.
+
+    Level q is the j- or v-series under method 'series'.  Under 'auto',
+    'char' and 'closed' it is the exact closed form on the zero class and
+    the character form on the other classes, which 'closed' refuses.
+    """
     _require_odd_prime(q)
     if s < 1:
         raise ValueError("s must be >= 1")
-    base = _level_q(dec, a, q, method, cfg)
+    if method not in ("auto", "closed", "char", "series"):
+        raise ValueError(f"unknown method {method!r}")
+    a %= q
+    if method == "series":
+        base = delta_level_q_series(dec, a, q, cfg)[1] if a else zero_class_series(dec, q)
+    elif a == 0:
+        base = delta_g_zero_class(dec, q)
+    elif method == "closed":
+        raise ValueError("closed form exists only for the zero class mod q")
+    else:
+        base = delta_charform(dec, a, q, cfg.prime_cutoff)
     if s == 1:
         return base
     scale = q ** (s - 1)
@@ -571,10 +575,8 @@ def delta_general_series(
 
     The pairs are summed in blocks of at most BLOCK pairs, in loop order, so
     every sum equals the scalar (t, n) loop's.  The integers are int64 when
-    the worst case fits: the degree numerators (at most
-    2*d*(n_max*t_max)^2) and the n_r that kummer_degrees forms for r | d
-    (at most max(m, lcm(2^(nu2(hd)+1), D(g0)))) stay below 2^63.
-    Otherwise they are Python ints.  The coefficients come from one
+    the degree numerators, at most 2*d*(n_max*t_max)^2, stay below 2^63,
+    else Python ints.  The coefficients come from one
     kummer.coefficient_table per call, over b = 1 + ta and f = d * t_d,
     which picks its own key type.
     """
@@ -589,8 +591,7 @@ def delta_general_series(
         while pk <= t_max:
             td[pk - 1 :: pk] *= p
             pk *= p
-    nz_max = max(dec.m, math.lcm(2 << nu2(dec.h * d), dec.disc_g0))
-    dt = _int_dtype(max(2 * d * (n_max * t_max) ** 2, nz_max))
+    dt = _int_dtype(2 * d * (n_max * t_max) ** 2)
     t, n, mun, ell, blocks = _pair_blocks(a, d, cfg, dt)
     coefficient = coefficient_table(dec, 1 + t * a, d * td[t.astype(np.intp) - 1].astype(dt))
     total0 = 0.0
@@ -636,14 +637,9 @@ def evaluate_density(
     if d < 2:
         raise ValueError("modulus must be at least 2")
     a %= d
-    fac = factorize(d)
-    if len(fac) == 1 and fac.pairs[0][0] != 2:
-        q, s = fac.pairs[0]
-        if method == "series" and s > 1:
-            return delta_general_series(dec, a, d, cfg)[1]
-        if method == "closed" and a % q != 0:
-            raise ValueError("closed form exists only for the zero class mod q")
-        return delta_prime_power(dec, a, q, s, method, cfg)
+    qs = odd_prime_power(d)
+    if qs is not None and (method != "series" or qs[1] == 1):
+        return delta_prime_power(dec, a, *qs, method, cfg)
     if method in ("closed", "char"):
         raise ValueError(f"only the series form handles modulus {d}")
     return delta_general_series(dec, a, d, cfg)[1]

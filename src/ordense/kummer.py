@@ -11,7 +11,8 @@ trivially on that intersection?
 eps is coded as the integer 2*eps in {1, 2, 4}, so every degree is computed
 with integers only.  _eps2 and kummer_degree give it and the degree for one
 (kr, k); kummer_degrees applies the same case split to whole arrays, and is
-where both series of ordense.density take their degrees from.
+where both series of ordense.density take their degrees from.  All three
+read n_r from decomp.n_r, the one place its formula lives.
 
 The intersection is the plain cyclotomic Q(zeta_gcd(f,v)) or a quadratic
 extension of it.  When the quadratic jump is attributable to a single odd
@@ -85,19 +86,23 @@ def kummer_degrees(
 ) -> np.ndarray:
     """kummer_degree elementwise over arrays with k | kr and phi_kr = phi(kr).
 
-    Applies _eps2's case split with no memo.  The arrays may be int64 when
-    2 * phi_kr * k, n_r and lcm(2^(nu2(hr)+1), D(g0)) (formed for every r,
-    also where n_r = m) all stay below 2^63; otherwise they hold Python ints.
+    Applies _eps2's case split with no memo, taking n_r from decomp.n_r once
+    per power of two up to the largest 2-part of r = kr / k (n_r depends on
+    r only through it).  An n_r above every kr divides none and is skipped,
+    so the arrays may be int64 whenever 2 * phi_kr * k stays below 2^63;
+    otherwise they hold Python ints.
     """
     r = kr // k
-    # n_r = lcm(2^(nu2(hr)+1), D(g0)), or m for negative g with r odd
-    n = np.lcm(dec.hc2 * (r & -r), dec.disc_g0)
+    two = r & -r  # the 2-part of r
+    top = int(kr.max(initial=0))
     eps2 = np.full(kr.shape, 2)
     if dec.sign < 0:
-        odd = r % 2 == 1
-        n = np.where(odd, dec.m, n)
-        eps2[odd & (k % 2 == 0) & (k % dec.hc2 != 0)] = 1
-    eps2[kr % n == 0] = 4
+        eps2[(r % 2 == 1) & (k % 2 == 0) & (k % dec.hc2 != 0)] = 1
+    for j in range(int(two.max(initial=1)).bit_length()):
+        n = n_r(dec, 1 << j)
+        if n <= top:
+            at = np.flatnonzero(two == 1 << j)
+            eps2[at[kr[at] % n == 0]] = 4
     num = 2 * phi_kr * k
     den = eps2 * np.gcd(k, dec.h)
     deg = num // den
@@ -123,15 +128,16 @@ def sqrt_qstar_in_kvv(dec: GDecomposition, q: int, v):
     Requires q an odd prime dividing no entry of v.  True exactly where q
     divides D(g0), (n_1 / q) divides v, and (for negative g with v even)
     2^(nu2(h)+1) divides v.  An array v gives a bool array of its shape; it
-    may be int64 when n_1 < 2^63, else it holds Python ints.
+    may be int64 for any g, since an n_1 / q above every entry divides none.
     """
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if np.any(v < 1) or np.any(v % q == 0):
         raise ValueError(f"need every v positive and coprime to q = {q}")
-    if dec.disc_g0 % q != 0:
+    n = n_r(dec, 1) // q  # q | D(g0) puts q in n_1
+    if dec.disc_g0 % q != 0 or n > int(np.max(v, initial=0)):
         return np.zeros_like(v, dtype=bool)
-    has = v % (n_r(dec, 1) // q) == 0  # q | D(g0) puts q in n_1
+    has = v % n == 0
     if dec.sign < 0:
         has &= (v % 2 == 1) | (v % dec.hc2 == 0)
     return has

@@ -13,6 +13,7 @@ from ordense.arith import (
     is_prime,
     kronecker,
     moebius,
+    odd_prime_power,
     parse_rational,
     squarefree_kernel,
     valuation,
@@ -68,6 +69,12 @@ def test_moebius_phi_valuation_units():
     assert euler_phi(8) == 4
     assert valuation(2, 48) == 4
     assert valuation(3, 5) == 0
+
+
+def test_odd_prime_power():
+    powers = [(3, 1), (3, 2), (5, 2), (2**61 - 1, 1)]
+    assert [odd_prime_power(q**s) for q, s in powers] == powers
+    assert [odd_prime_power(n) for n in (-9, 0, 1, 2, 4, 6, 45)] == [None] * 7
 
 
 def test_valuation_needs_prime():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ordense.characters
-from ordense.arith import euler_phi, factorize, moebius
+from ordense.arith import euler_phi, factorize, moebius, valuation
 from ordense.characters import (
     a_chi,
     artin_constant,
@@ -346,7 +346,7 @@ def _c_chi_direct_product(chi, h, r, s, prime_cutoff):
     )
     value = 1 + 0j
     for p in special:
-        alpha, nu = factorize(s).valuation(p), factorize(h).valuation(p)
+        alpha, nu = valuation(p, s), valuation(p, h)
         c = chi(p)
         local = 1 + 0j if alpha == 0 else 0j
         for e in range(max(alpha, 1), 60):

@@ -63,6 +63,20 @@ def test_cg_values_and_unsupported_exit():
     assert code == 3 and '"cg":"unsupported"' in out
 
 
+def test_degree_and_cg_echo_parsed_g():
+    # the raw --g text "8\n" would split a JSON, CSV or text row
+    code, out, _ = _run(["degree", "--g", "8\n", "--kr", "8", "--k", "2"])
+    assert code == 0 and out == '{"schema":1,"g":"8","kr":8,"k":2,"degree":4}\n'
+    argv = ["--format", "csv", "cg", "--g", "10/2", "--b", "2", "--f", "5", "--v", "2"]
+    code, out, _ = _run(argv)
+    assert code == 0 and out == "schema,g,b,f,v,cg\n1,5,2,5,2,0\n"
+    code, out, _ = _run(["--format", "text", "degree", "--g", " 4/2", "--kr", "8", "--k", "2"])
+    assert code == 0 and out.splitlines()[1] == "g = 2"
+    # strings are JSON-escaped, floats keep 17 digits
+    text = ordense.cli._to_json({"s": 'a\n"b\\', "x": 0.1, "n": [None, True, 3]})
+    assert text == '{"s":"a\\n\\"b\\\\","x":0.10000000000000001,"n":[null,true,3]}'
+
+
 def test_validation_exit_codes():
     for argv in (
         ["density", "--g", "1", "--a", "0", "--d", "3"],

@@ -572,6 +572,15 @@ def test_prime_power_scaling():
     assert abs(tot - 1) < 1e-6
 
 
+def test_prime_power_rejects_unknown_method():
+    # the zero class once took the closed form and the class 1 reported a
+    # missing closed form, both hiding the bad method
+    dec = decompose(2)
+    for a in (0, 1):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            delta_prime_power(dec, a, 3, 1, method="bogus")
+
+
 def test_general_series_scaling_law_d9():
     cfg = TruncationConfig(t_max=500, n_max=500, v_max=30_000, prime_cutoff=10**6)
     for g in (2, 5):

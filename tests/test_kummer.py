@@ -343,3 +343,21 @@ def test_sqrt_qstar_array_matches_scalar():
     assert sqrt_qstar_in_kvv(dec, 3, v).tolist() == want
     with pytest.raises(ValueError):
         sqrt_qstar_in_kvv(decompose(5), 5, np.array([2, 10]))
+
+
+def test_kernels_take_int64_for_any_n1():
+    # D(g0) of 3 * BIG has 96 bits, and every n_r at least 95 (n_1 = m = D/2
+    # for -3 * BIG): they and n_1 / 3 lie above every int64 entry and divide
+    # none, so both kernels keep int64 and match the scalars
+    pairs = [(kr, k) for kr in range(1, 301) for k in _divisors(kr)]
+    kr, k = np.array(pairs).T
+    phi = np.array([euler_phi(x) for x in kr.tolist()])
+    v = np.array([x for x in range(1, 400) if x % 3])
+    for g in (3 * BIG, -3 * BIG):
+        dec = decompose(g)
+        assert n_r(dec, 1).bit_length() == (96 if g > 0 else 95)
+        got = kummer_degrees(dec, kr, k, phi)
+        assert got.dtype == np.int64, g
+        assert got.tolist() == [kummer_degree(dec, x, y) for x, y in pairs], g
+        want = [bool(sqrt_qstar_in_kvv(dec, 3, x)) for x in v.tolist()]
+        assert sqrt_qstar_in_kvv(dec, 3, v).tolist() == want, g
