@@ -17,19 +17,12 @@ def _unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a name listed in __all__ is re-exported, which uses it
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
 def test_unused_import_is_caught():
     source = "import math\nimport numpy as np\nfrom .arith import nu2\nnp.ones(1)\n"
     assert _unused_imports(source) == ["math", "nu2"]
-    assert _unused_imports("from .arith import nu2\n__all__ = ['nu2']\n") == []
 
 
 # __init__.py imports only to re-export: its imports are the package's API
