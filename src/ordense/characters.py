@@ -24,24 +24,34 @@ dividing q, with c = chi(p), A_chi's factor factors exactly as
     u = 1/(p(p-1)),  x = 1/(p^3-p^2-p),  y = 1/p^2.
 
 The primes up to P0 = 1000 give exact factors.  Above P0 each log is
-expanded to M = 2 terms, so the factor's log is w_0(p) + sum_{m<=M} c^m
-w_m(p) with w_0 = -sum_{m<=M} u^m/m and w_m = ((-1)^(m+1) x^m + y^m)/m.
-The sums S[m, r] of w_m(p) over the primes P0 < p <= P with p = r (mod
-q^s) are built in one pass over those primes per (modulus, cutoff) and
-cached; each character then costs exp(sum over units r of S[0, r] +
-sum_m chi(r)^m S[m, r]), O(M q) work.  Artin's constant reads S[0] at
-modulus 1.
+expanded in powers of u, x and y, so the factor's log is
+
+    w_0(p) + c w_1(p) + c^2 w_2(p),
+    w_0 = -u - u^2/2,  w_1 = x + y,  w_2 = (y^2 - x^2)/2,
+
+with w_2 kept only up to P1 = 2*10^5: M = 2 terms of each series up to
+P1 and, for the series in c, M = 1 above it.  w_0 depends on neither the
+modulus nor the character, so one pass over the primes P0 < p <= P sums
+it, cached per cutoff.  Artin's constant reads that sum; A_chi subtracts
+w_0(q) when P0 < q <= P, q being the one prime with chi(q) = 0.  The
+class sums S[m, r] of w_m(p), m = 1, 2, over the primes P0 < p <= P with
+p = r (mod q^s) are one more pass per (modulus, cutoff), also cached; each
+character then costs exp(generic sum + sum over r of chi(r) S[1, r] +
+chi(r)^2 S[2, r]), O(q) work.
 
 Two rigorous bounds make up the tail bound.  Each omitted factor (p > P)
 differs from 1 by at most 2.05/p^2, and sum_{p>P} 1/p^2 <= 2.52/(P log P)
 by partial summation against pi(t) <= 1.26 t/log t.  Since x, y < u, the
-series truncation leaves at most 3u^(M+1)/((M+1)(1-u)) = u^3/(1-u) per
-prime, and over the odd p > P0 that sums to at most sum over even k >= 1000
-of k^-6 (times 1 + 1e-6) <= 1.1e-16, taken as 2.0e-16.  Both enter the
-bound through the log, as |value| expm1(sum of the two).  Sums are
-accumulated in fixed-size chunks in a fixed order, so results are
-bit-identical however the work is scheduled.  The primes come from the
-package's one sieve, ordense.sieve.primes_upto.
+M = 2 truncation of the three series leaves at most 3u^3/(3(1-u)) =
+u^3/(1-u) per prime, and over the odd p > P0 that sums to at most the sum
+over even k >= 1000 of k^-6 (times 1 + 1e-6) <= 1.1e-16.  Above P1 the
+M = 1 truncation of log(1 + cx) and -log(1 - cy) leaves at most
+(x^2 + y^2)/(2(1 - y)) <= y^2 = 1/p^4 per prime, and over the odd p > P1
+at most 1/(6(P1 - 1)^3) <= 2.1e-17.  The total, under 1.4e-16, is taken
+as 2.0e-16.  Both bounds enter through the log, as |value| expm1(sum of
+the two).  Sums are accumulated in fixed-size chunks in a fixed order, so
+results are bit-identical however the work is scheduled.  The primes come
+from the package's one sieve, ordense.sieve.primes_upto.
 """
 
 from __future__ import annotations
@@ -70,8 +80,8 @@ __all__ = [
 ]
 
 _TAIL_CONST = 5.2  # 2 * 1.021 * 2.52, see module docstring
-_SERIES_FROM = 1000  # P0: primes above it enter through the class sums
-_SERIES_TERMS = 2  # M
+_SERIES_FROM = 1000  # P0: primes above it enter through the series sums
+_SQUARES_UPTO = 200_000  # P1: the class sums keep the c^2 term up to it
 _SERIES_REMAINDER = 2.0e-16  # truncation bound over all p > P0, see module docstring
 # primes per bincount pass: a chunk's float temporaries stay near 1 MB
 _CHUNK = 1 << 14
@@ -247,33 +257,60 @@ def _tail_factor(prime_cutoff: int, tail_const: float = _TAIL_CONST) -> float:
     return math.expm1(log_bound)
 
 
-_euler_cache: dict[tuple, EulerProductValue | np.ndarray] = {}
+_euler_cache: dict[tuple, EulerProductValue | np.ndarray | float] = {}
+
+
+def _w0(p):
+    """The generic log weight w_0(p) = -u - u^2/2, u = 1/(p(p-1)): arrays or floats."""
+    u = 1.0 / (p * (p - 1.0))
+    return -u - u * u / 2.0
+
+
+def _generic_sum(primes: np.ndarray) -> float:
+    """Sum of w_0(p) over the given primes, one chunk of _CHUNK primes at a time."""
+    total = 0.0
+    for i in range(0, len(primes), _CHUNK):
+        total += float(_w0(primes[i : i + _CHUNK].astype(np.float64)).sum())
+    return total
 
 
 def _sum_by_class(primes: np.ndarray, modulus: int) -> np.ndarray:
-    """S[m, r] = sum of w_m(p) over the given primes p = r (mod modulus).
+    """S[m - 1, r] = sum of w_m(p) over the given primes p = r (mod modulus), m = 1, 2.
 
-    w_0, ..., w_M are the series weights of the module docstring.  One
-    bincount per weight and chunk of _CHUNK primes, so the temporaries stay
-    bounded whatever the number of primes.
+    w_1 = x + y over every given prime, w_2 = (y^2 - x^2)/2 only over those
+    <= P1 (the primes are sorted), as in the module docstring.  One bincount
+    per weight and chunk of _CHUNK primes, so the temporaries stay bounded
+    whatever the number of primes.
     """
-    sums = np.zeros((_SERIES_TERMS + 1, modulus))
+    sums = np.zeros((2, modulus))
+    squares = int(np.searchsorted(primes, _SQUARES_UPTO, side="right"))
     for i in range(0, len(primes), _CHUNK):
         chunk = primes[i : i + _CHUNK]
         residue = chunk % modulus
         p = chunk.astype(np.float64)
-        u = 1.0 / (p * (p - 1.0))
         x = 1.0 / (p * (p * p - p - 1.0))
         y = 1.0 / (p * p)
-        w0 = np.zeros_like(p)
-        um, xm, ym = u, x, y
-        for m in range(1, _SERIES_TERMS + 1):
-            w0 -= um / m
-            sign = 1.0 if m % 2 else -1.0
-            sums[m] += np.bincount(residue, (sign * xm + ym) / m, minlength=modulus)
-            um, xm, ym = um * u, xm * x, ym * y
-        sums[0] += np.bincount(residue, w0, minlength=modulus)
+        sums[0] += np.bincount(residue, x + y, minlength=modulus)
+        k = squares - i
+        if k > 0:
+            x, y = x[:k], y[:k]
+            sums[1] += np.bincount(residue[:k], (y * y - x * x) / 2.0, minlength=modulus)
     return sums
+
+
+def _series_primes(prime_cutoff: int) -> np.ndarray:
+    """The primes P0 < p <= prime_cutoff: a slice, so a view of the cached primes."""
+    primes = primes_upto(prime_cutoff)
+    return primes[int(np.searchsorted(primes, _SERIES_FROM, side="right")) :]
+
+
+def _generic_log(prime_cutoff: int) -> float:
+    """_generic_sum over the primes P0 < p <= prime_cutoff, cached per cutoff."""
+    key = ("g", prime_cutoff)
+    total = _euler_cache.get(key)
+    if total is None:
+        total = _euler_cache[key] = _generic_sum(_series_primes(prime_cutoff))
+    return total
 
 
 def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
@@ -281,11 +318,7 @@ def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
     key = ("s", modulus, prime_cutoff)
     sums = _euler_cache.get(key)
     if sums is None:
-        primes = primes_upto(prime_cutoff)
-        # a slice, so a view of the cached primes rather than a copy
-        sums = _sum_by_class(
-            primes[int(np.searchsorted(primes, _SERIES_FROM, side="right")) :], modulus
-        )
+        sums = _sum_by_class(_series_primes(prime_cutoff), modulus)
         sums.flags.writeable = False
         _euler_cache[key] = sums
     return sums
@@ -296,9 +329,10 @@ def a_chi(
 ) -> EulerProductValue:
     """Partial product for A_chi over primes <= prime_cutoff.
 
-    Exact factors at the primes up to P0 = 1000, times exp of the class
-    sums weighted by chi(r)^m above P0 (see the module docstring).  The
-    principal character gives exactly 1 (every factor is 1).
+    Exact factors at the primes up to P0 = 1000, times exp of the generic
+    sum and the class sums weighted by chi(r)^m above P0 (see the module
+    docstring).  The principal character gives exactly 1 (every factor is
+    1).
     """
     check_prime_cutoff(prime_cutoff)
     if chi.is_principal:
@@ -308,20 +342,21 @@ def a_chi(
     if hit is not None:
         return hit
     table = chi.value_table()
-    # chi(p) = 0 exactly at p = q, the prime of the modulus q^s; above P0
-    # it is the one prime of class r = 0, which the sum over units skips
+    # chi(p) = 0 exactly at p = q, the prime of the modulus q^s, so q is
+    # left out of the exact product and its weight out of the generic sum
+    q = chi._group.prime
     exact = primes_upto(min(prime_cutoff, _SERIES_FROM))
-    exact = exact[exact != chi._group.prime]
+    exact = exact[exact != q]
     value = complex(
         np.prod(_generic_factor(exact.astype(np.float64), table[exact % chi.modulus]))
     )
     if prime_cutoff > _SERIES_FROM:
+        generic = _generic_log(prime_cutoff)
+        if _SERIES_FROM < q <= prime_cutoff:
+            generic -= _w0(q)
+        # the class sums need no such correction: q's class is not a unit
         sums = _class_sums(chi.modulus, prime_cutoff)
-        log = complex(sums[0][table != 0].sum())
-        power = table
-        for m in range(1, _SERIES_TERMS + 1):
-            log += complex(power @ sums[m])
-            power = power * table
+        log = complex(generic) + complex(table @ sums[0]) + complex((table * table) @ sums[1])
         value *= cmath.exp(log)
     out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
     _euler_cache[key] = out
@@ -401,8 +436,8 @@ def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValu
     p = primes_upto(min(prime_cutoff, _SERIES_FROM)).astype(np.float64)
     value = float(np.prod(1.0 - 1.0 / (p * (p - 1.0))))
     if prime_cutoff > _SERIES_FROM:
-        # the factor is 1 - u, whose log is the weight w_0; modulus 1 has one class
-        value *= math.exp(_class_sums(1, prime_cutoff)[0, 0])
+        # the factor is 1 - u, whose log is the weight w_0
+        value *= math.exp(_generic_log(prime_cutoff))
     # |factor - 1| = 1/(p(p-1)) <= 1.02/p^2 here, same tail shape as a_chi
     tail = abs(value) * _tail_factor(prime_cutoff, 2.6)
     return EulerProductValue(value, tail, prime_cutoff)

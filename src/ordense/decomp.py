@@ -3,6 +3,8 @@
 Every rational g outside {-1, 0, 1} factors uniquely as sign(g) * g0**h with
 g0 > 0 not an exact power of a rational.  The quantities D(g0), m and n_r
 attached to the decomposition drive all Kummer degree formulas downstream.
+decompose is memoised in a bounded LRU cache, so every request for one g
+shares one factorisation and one frozen result.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import discriminant_sqrt, factorize, nu2
 
@@ -46,8 +49,17 @@ def _exponent_gcd(n: int) -> tuple[int, dict[int, int]]:
 
 
 def decompose(g: Fraction | int) -> GDecomposition:
-    """Canonical decomposition of g not in {-1, 0, 1}."""
-    g = Fraction(g)
+    """Canonical decomposition of g not in {-1, 0, 1}, memoised per rational value.
+
+    Equal values share one (frozen) result: decompose(Fraction(4, 2)) is
+    decompose(2).
+    """
+    return _decompose(Fraction(g))
+
+
+# bounded: a long-lived caller may ask for any number of distinct g
+@lru_cache(maxsize=256)
+def _decompose(g: Fraction) -> GDecomposition:
     if g == 0 or g == 1 or g == -1:
         raise ValueError(f"g must avoid -1, 0, 1; got {g}")
     sign = 1 if g > 0 else -1

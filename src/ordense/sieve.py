@@ -1,10 +1,13 @@
 """The package's one prime sieve and the arithmetic tables built from it.
 
 sieve_primes finds the primes in a window [lo, hi]; primes_upto caches its
-primes up to a limit for the Euler products (characters) and the base
-primes of the p - 1 factor sieve (empirical), and tables serves the Kummer
-series (density).  Both caches grow to the largest limit asked for and are
-never trimmed, so a smaller request is a slice of what is already held.
+primes up to a limit for the Euler products (characters), the base primes
+of the p - 1 factor sieve (empirical) and the crossing-off primes of
+tables, which serves the Kummer series (density).  tables crosses off only
+the primes up to sqrt(limit); every v then has at most one prime factor
+left, which whole-array operations take out of phi and mu.  Both caches
+grow to the largest limit asked for and are never trimmed, so a smaller
+request is a slice of what is already held.
 The census (empirical) needs every prime up to its x only once, and each
 segment of the p - 1 factor sieve (empirical) needs only its own window, so
 both call the uncached sieve_primes and own what it returns.  sieve_primes
@@ -71,17 +74,30 @@ def tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hit = _table_cache.get("t")
     if hit is not None and hit[0] >= limit:
         return hit[1], hit[2], hit[3]
-    primes = primes_upto(limit)
+    small = primes_upto(math.isqrt(limit)).tolist()
     spf = np.arange(limit + 1, dtype=np.int64)
     # largest prime first, so each composite keeps its smallest prime factor
-    for p in primes[primes <= math.isqrt(limit)][::-1].tolist():
+    for p in small[::-1]:
         spf[p * p :: p] = p
     phi = np.arange(limit + 1, dtype=np.int64)
     mu = np.ones(limit + 1, dtype=np.int64)
-    for p in primes.tolist():
+    # rest[v] is v with its primes <= sqrt(limit) divided out: 1, or the one
+    # prime factor of v above sqrt(limit), which every such v has at most once
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for p in small:
         phi[p::p] -= phi[p::p] // p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+        pk = p
+        while pk <= limit:
+            rest[pk::pk] //= p
+            pk *= p
+    big = rest > 1
+    # phi[v] still has the factor rest[v], so the division is exact
+    np.floor_divide(phi, rest, out=rest, where=big)
+    np.subtract(phi, rest, out=phi, where=big)
+    del rest
+    np.negative(mu, out=mu, where=big)
     for arr in (spf, phi, mu):
         arr.flags.writeable = False
     out = (limit, spf, phi, mu)

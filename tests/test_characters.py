@@ -157,20 +157,35 @@ def test_a_chi_memory_bounded(monkeypatch):
 
 
 def test_a_chi_sums_built_once_per_modulus(monkeypatch):
-    # the per-class prime sums are one pass per (modulus, cutoff), whatever
-    # the number of characters
+    # the modulus-free sum of w_0 is one pass per cutoff, shared by every
+    # modulus and by Artin's constant; the per-class prime sums are one pass
+    # per (modulus, cutoff), whatever the number of characters.  Each pass
+    # is named by the largest prime it sums over.
     monkeypatch.setattr(ordense.characters, "_euler_cache", {})
-    builds = []
-    build = ordense.characters._sum_by_class
+    generic, classes = [], []
+    build_generic = ordense.characters._generic_sum
+    build_classes = ordense.characters._sum_by_class
 
-    def counting(primes, modulus):
-        builds.append(modulus)
-        return build(primes, modulus)
+    def counting_generic(primes):
+        generic.append(int(primes[-1]))
+        return build_generic(primes)
 
-    monkeypatch.setattr(ordense.characters, "_sum_by_class", counting)
-    for chi in character_group(1009):
-        a_chi(chi, 10**6)
-    assert builds == [1009]
+    def counting_classes(primes, modulus):
+        classes.append((modulus, int(primes[-1])))
+        return build_classes(primes, modulus)
+
+    monkeypatch.setattr(ordense.characters, "_generic_sum", counting_generic)
+    monkeypatch.setattr(ordense.characters, "_sum_by_class", counting_classes)
+    cutoffs = (10**5, 3 * 10**5, 10**6)
+    artin_constant(cutoffs[1])
+    for cutoff in cutoffs:
+        for q in (3, 5, 1009):
+            for chi in character_group(q):
+                a_chi(chi, cutoff)
+        artin_constant(cutoff)
+    tops = [int(primes_upto(cutoff)[-1]) for cutoff in cutoffs]
+    assert generic == [tops[1], tops[0], tops[2]]
+    assert classes == [(q, top) for top in tops for q in (3, 5, 1009)]
 
 
 def test_a_chi_memory_bounded_for_large_modulus(monkeypatch):
@@ -236,24 +251,29 @@ def _log_one_plus(z):
 
 
 def test_series_truncation_within_remainder():
-    # the M = 2 log series of every factor above P0, against the log of the
-    # factor itself: the sum of the differences is what the tail bound
-    # adds as _SERIES_REMAINDER
-    cutoff = 10**5
+    # the log series of every factor above P0 as it is evaluated (M = 2 up
+    # to P1, the c^2 term dropped above), against the log of the factor
+    # itself: the sum of the differences is what the tail bound adds as
+    # _SERIES_REMAINDER
     remainder = ordense.characters._SERIES_REMAINDER
-    primes = primes_upto(cutoff)
-    for q in (5, 11):
-        for chi in character_group(q).characters[1:]:
-            kept = primes[(primes > 1000) & (primes != q)]
-            p, c = kept.astype(np.float64), chi.value_table()[kept % q]
-            u, x, y = 1 / (p * (p - 1)), 1 / (p**3 - p**2 - p), 1 / p**2
-            series = -(u + u**2 / 2) + c * (x + y) + c**2 * (y**2 - x**2) / 2
-            exact = _log_one_plus((c - 1) * p / ((p * p - c) * (p - 1)))
-            assert abs(np.sum(exact - series)) <= remainder, (q, chi.index)
-            val = a_chi(chi, cutoff)
-            omitted = abs(val.value) * math.expm1(5.2 / (cutoff * math.log(cutoff)))
-            # 0.99: the difference of two roundings of about 3e-6 each
-            assert val.tail_bound - omitted >= 0.99 * abs(val.value) * remainder, (q, chi.index)
+    squares_upto = ordense.characters._SQUARES_UPTO
+    for cutoff in (10**5, 3 * 10**5):
+        primes = primes_upto(cutoff)
+        for q in (5, 11):
+            for chi in character_group(q).characters[1:]:
+                kept = primes[(primes > 1000) & (primes != q)]
+                p, c = kept.astype(np.float64), chi.value_table()[kept % q]
+                u, x, y = 1 / (p * (p - 1)), 1 / (p**3 - p**2 - p), 1 / p**2
+                series = -(u + u**2 / 2) + c * (x + y)
+                series += np.where(kept <= squares_upto, c**2 * (y**2 - x**2) / 2, 0)
+                exact = _log_one_plus((c - 1) * p / ((p * p - c) * (p - 1)))
+                assert abs(np.sum(exact - series)) <= remainder, (cutoff, q, chi.index)
+                val = a_chi(chi, cutoff)
+                omitted = abs(val.value) * math.expm1(5.2 / (cutoff * math.log(cutoff)))
+                # 0.99: the difference of two roundings of about 3e-6 each
+                assert val.tail_bound - omitted >= 0.99 * abs(val.value) * remainder, (
+                    cutoff, q, chi.index,
+                )
 
 
 def test_artin_constant_reference():

@@ -101,6 +101,19 @@ def test_argparse_messages_go_to_run_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# `ordense constants --q 5 --pmax 10000000`, byte for byte
+CONSTANTS_Q5_1E7 = (
+    '{"schema":1,"q":5,"prime_cutoff":10000000,"characters":[{"index":0,"order":1,"re":1,"im":0'
+    ',"tail_bound":0}'
+    ',{"index":1,"order":4,"re":0.36468962861594334,"im":0.22404109573765058'
+    ',"tail_bound":1.3808420003684339e-08}'
+    ',{"index":2,"order":2,"re":0.12930793928585047,"im":0'
+    ',"tail_bound":4.171716770158906e-09}'
+    ',{"index":3,"order":4,"re":0.36468962861594334,"im":-0.22404109573765058'
+    ',"tail_bound":1.3808420003684339e-08}]}\n'
+)
+
+
 def test_constants_table():
     code, out, _ = _run(["constants", "--q", "3", "--pmax", "1000000"])
     assert code == 0
@@ -109,6 +122,10 @@ def test_constants_table():
     code, out, _ = _run(["constants", "--q", "5", "--pmax", "1000000"])
     # the real character mod 5 prints an exact 0, not -0 or a round-off
     assert re.search(r'"index":2,"order":2,"re":[0-9.e-]+,"im":0,', out)
+    # the whole table at the default cutoff, byte for byte: the generic and
+    # class sums and their truncation above 2e5 move no printed digit
+    code, out, _ = _run(["constants", "--q", "5", "--pmax", "10000000"])
+    assert code == 0 and out == CONSTANTS_Q5_1E7
 
 
 def test_census_output():
@@ -281,8 +298,16 @@ cfg = TruncationConfig(t_max=40, n_max=40, v_max=400)
 delta_general_series(dec, 1, 6, cfg)
 delta_level_q_series(dec, 1, 3, cfg)
 delta_charform(dec, 1, 5, 1000)
-argv = ["verify", "--g", "2", "--d", "3", "--x", "20000", "--pmax", "1000"]
-assert run(argv, io.StringIO(), io.StringIO()) == 0
+# above P1 = 2e5: the generic pass and both class passes (w_1, and w_2 up to P1)
+delta_charform(dec, 1, 5, 3 * 10**5)
+for argv in (
+    ["verify", "--g", "2", "--d", "3", "--x", "20000", "--pmax", "1000"],
+    ["constants", "--q", "7", "--pmax", "300000"],
+    ["census", "--q", "3", "--x", "30"],
+    ["degree", "--g", "2", "--kr", "8", "--k", "2"],
+    ["cg", "--g", "5", "--b", "2", "--f", "5", "--v", "2"],
+):
+    assert run(argv, io.StringIO(), io.StringIO()) == 0, argv
 print("numpy.ma" in sys.modules)
 """
 

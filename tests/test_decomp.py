@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordense.decomp
 from ordense.arith import discriminant_sqrt, nu2
 from ordense.decomp import decompose, n_r
 
@@ -30,6 +31,20 @@ def test_decompose_rejects_units():
     for g in (0, 1, -1, Fraction(1), Fraction(-1)):
         with pytest.raises(ValueError):
             decompose(g)
+
+
+def test_decompose_memoised_per_value():
+    # equal rationals share one frozen result, a refusal is never cached,
+    # and the memo stays bounded however many distinct g are asked for
+    assert decompose(Fraction(4, 2)) is decompose(2)
+    assert decompose(Fraction(-12, 16)) is decompose(Fraction(-3, 4))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            decompose(1)
+    info = ordense.decomp._decompose.cache_info
+    for g in range(2, info().maxsize + 50):
+        assert decompose(g).g == g
+    assert info().currsize <= info().maxsize
 
 
 def test_disc_g0_positive():

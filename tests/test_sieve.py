@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import ordense.sieve as sieve
@@ -17,6 +19,35 @@ def test_tables_match_arith():
         assert spf[n] == min(factorize(n).primes), n
         assert phi[n] == euler_phi(n), n
         assert mu[n] == moebius(n), n
+
+
+def _tables_by_loop(limit):
+    """(spf, phi, mu) with every prime <= limit crossed off in a Python loop."""
+    primes = sieve_primes(limit)
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in primes[primes <= math.isqrt(limit)][::-1].tolist():
+        spf[p * p :: p] = p
+    phi = np.arange(limit + 1, dtype=np.int64)
+    mu = np.ones(limit + 1, dtype=np.int64)
+    for p in primes.tolist():
+        phi[p::p] -= phi[p::p] // p
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return spf, phi, mu
+
+
+def test_tables_match_loop(monkeypatch):
+    # the primes above sqrt(limit) leave phi and mu through whole-array
+    # operations: every limit up to 300 (squares and the numbers beside
+    # them), larger ones, and a table grown from a smaller limit
+    runs = [[limit] for limit in range(301)] + [[4096], [10**5], [1000, 25_000], [961, 1024]]
+    for limits in runs:
+        monkeypatch.setattr(sieve, "_table_cache", {})
+        for limit in limits:
+            got = tables(limit)
+        want = _tables_by_loop(limits[-1])
+        for name, a, b in zip(("spf", "phi", "mu"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (limits, name)
 
 
 # windows from the bottom of the range; windows starting just below, at and
