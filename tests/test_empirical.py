@@ -120,6 +120,95 @@ def test_segmented_equals_monolithic(monkeypatch):
     assert a.counts == c.counts
 
 
+def _cache_paths(monkeypatch):
+    """Yield twice, with an empty chunk cache each time: first with the
+    default budget (a run over [2, x] leaves its chunks cached and later
+    counts read them), then with a budget of 0 (every count streams its own
+    sieve)."""
+    for budget in (emp.CACHE_BYTES, 0):
+        monkeypatch.setattr(emp, "CACHE_BYTES", budget)
+        monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
+        yield budget
+
+
+def _count_sieves(monkeypatch):
+    """A list that gains one entry per _segment_factored call from now on."""
+    calls = []
+    segment = emp._segment_factored
+
+    def counted(lo, hi, base):
+        calls.append(lo)
+        return segment(lo, hi, base)
+
+    monkeypatch.setattr(emp, "_segment_factored", counted)
+    return calls
+
+
+def test_sieve_orders_streams_its_first_record(monkeypatch):
+    # the first record needs the first segment only, not all of [2, x]
+    monkeypatch.setattr(emp, "SEGMENT", 1000)
+    monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
+    calls = _count_sieves(monkeypatch)
+    assert next(sieve_orders(2, 10**5)) == OrderRecord(3, 2, 1)
+    assert calls == [2]
+
+
+def test_runs_within_the_budget_share_one_sieve(monkeypatch):
+    # the three requests of a verify panel at x = 1e6 sieve [2, x] once;
+    # with no budget each of them sieves it afresh
+    calls = _count_sieves(monkeypatch)
+    for budget in _cache_paths(monkeypatch):
+        calls.clear()
+        count_residues(2, 3, 10**6)
+        count_residues(-3, 5, 10**6)
+        count_joint(Fraction(1, 2), 3, 3, 10**6)
+        assert len(calls) == (1 if budget else 3), budget
+        cached = emp._factored_cache["key"]
+        assert cached == ((10**6, emp.SEGMENT) if budget else None), budget
+
+
+def test_count_memory_flat_in_x(monkeypatch):
+    # traced peak of a count at 3e7: at most CACHE_BYTES of cached segments
+    # before the run passes the budget, then one segment sieved while the one
+    # before it is counted; measured 18.6 MiB.  Caching every segment of
+    # [2, x] peaked at 115 MiB, and grows by about 2.6 bytes per unit of x.
+    monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
+    tracemalloc.start()
+    try:
+        tab = count_residues(2, 6, 3 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.primes_considered == 1857858  # pi(3e7) - 1
+    assert emp._factored_cache["key"] is None
+    assert peak < 32 * 2**20, peak
+
+
+def test_kernel_block_working_set(monkeypatch):
+    # every block of the kernel holds at most BLOCK (p, l) pairs, and its
+    # traced working set stays near 100 bytes a pair (1.8 MiB measured at
+    # BLOCK = 2^14); blocks of 2^14 primes (57k pairs) took 6.3 MiB
+    kernel = emp._block_orders
+    blocks = []
+
+    def traced(g, p, ells, nfac):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = kernel(g, p, ells, nfac)
+        blocks.append((len(ells), tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(emp, "_block_orders", traced)
+    tracemalloc.start()
+    try:
+        count_residues(2, 6, 10**6)
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) > 1
+    assert max(pairs for pairs, _ in blocks) <= emp.BLOCK
+    assert max(peak for _, peak in blocks) < 5 * 2**19, blocks
+
+
 def test_chunks_hold_every_prime_and_factor(monkeypatch):
     # the scalar oracle reads these same chunks, so it cannot see a prime
     # or a factor of p - 1 lost at a segment edge; odd and even segment
@@ -127,7 +216,7 @@ def test_chunks_hold_every_prime_and_factor(monkeypatch):
     # windows of one or two numbers
     for size, x in ((1, 300), (2, 300), (997, 10**5), (1000, 10**5)):
         monkeypatch.setattr(emp, "SEGMENT", size)
-        chunks = emp._factored_chunks(x)
+        chunks = list(emp._factored_chunks(x))
         assert len(chunks) == -(-(x - 1) // size)  # the x - 1 numbers of [2, x]
         primes = [p for pvals, _, _ in chunks for p in pvals.tolist()]
         assert primes == sieve.primes_upto(x).tolist()
@@ -242,8 +331,9 @@ def oracle():
     return {g: list(_scalar_orders(Fraction(g), ORACLE_X)) for g in ORACLE_G + ORACLE_BIG_G}
 
 
-# many segments each inside one block; odd segments cut into ragged blocks;
-# one segment (SEGMENT = x) of two blocks, the second partial
+# many segments each inside one block; odd segments cut into ragged blocks
+# of at most 1000 (p, l) pairs; one segment (SEGMENT = x) of six blocks, the
+# last partial
 @pytest.mark.parametrize(
     "size,block",
     [
@@ -255,22 +345,25 @@ def oracle():
 def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
     monkeypatch.setattr(emp, "SEGMENT", size)
     monkeypatch.setattr(emp, "BLOCK", block)
-    for g, ref in oracle.items():
-        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X)]
-        assert recs == ref, g
-        if g in ORACLE_BIG_G:
-            continue
-        tab = count_residues(g, 12, ORACLE_X)
-        want = {a: 0 for a in range(12)}
-        for _, o, _ in ref:
-            want[o % 12] += 1
-        assert tab.counts == want, g
-        assert tab.primes_considered == len(ref)
-        jt = count_joint(g, 4, 3, ORACLE_X)
-        want = {}
-        for p, o, _ in ref:
-            want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
-        assert jt.counts == want, g
+    for budget in _cache_paths(monkeypatch):
+        for g, ref in oracle.items():
+            recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X)]
+            assert recs == ref, (g, budget)
+            if g in ORACLE_BIG_G:
+                continue
+            tab = count_residues(g, 12, ORACLE_X)
+            want = {a: 0 for a in range(12)}
+            for _, o, _ in ref:
+                want[o % 12] += 1
+            assert tab.counts == want, (g, budget)
+            assert tab.primes_considered == len(ref)
+            jt = count_joint(g, 4, 3, ORACLE_X)
+            want = {}
+            for p, o, _ in ref:
+                want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
+            assert jt.counts == want, (g, budget)
+        cached = emp._factored_cache["key"]
+        assert cached == ((ORACLE_X, size) if budget else None), budget
 
 
 @pytest.mark.parametrize("g", [Fraction(1, 3), Fraction(5, 3), Fraction(1, 2)])
@@ -285,7 +378,7 @@ def test_block_of_p_two_alone(monkeypatch):
     # SEGMENT = 1 puts p = 2 alone in the first block: its largest exponent
     # is 0 (the inverse of a denominator) and it has no (p, l) pair
     monkeypatch.setattr(emp, "SEGMENT", 1)
-    assert emp._factored_chunks(30)[0][0].tolist() == [2]
+    assert next(emp._factored_chunks(30))[0].tolist() == [2]
     for g in (Fraction(1, 3), Fraction(5, 3), Fraction(1, 2), Fraction(3)):
         recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, 30)]
         assert recs == list(_scalar_orders(g, 30)), g
@@ -368,12 +461,14 @@ PINNED_1E6 = {
 }
 
 
-def test_count_tables_pinned_at_1e6():
-    for g, (residues, joint) in PINNED_1E6.items():
-        tab = count_residues(Fraction(g), 12, 10**6)
-        assert tab.counts == dict(enumerate(residues)), g
-        assert (tab.primes_considered, tab.excluded) == (78497, 1), g
-        assert count_joint(Fraction(g), 4, 3, 10**6).counts == joint, g
+def test_count_tables_pinned_at_1e6(monkeypatch):
+    # on the cached path and on the streamed one
+    for budget in _cache_paths(monkeypatch):
+        for g, (residues, joint) in PINNED_1E6.items():
+            tab = count_residues(Fraction(g), 12, 10**6)
+            assert tab.counts == dict(enumerate(residues)), (g, budget)
+            assert (tab.primes_considered, tab.excluded) == (78497, 1), (g, budget)
+            assert count_joint(Fraction(g), 4, 3, 10**6).counts == joint, (g, budget)
 
 
 def _brute_census(q, x):
