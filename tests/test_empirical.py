@@ -206,7 +206,7 @@ def test_kernel_block_working_set(monkeypatch):
         tracemalloc.stop()
     assert len(blocks) > 1
     assert max(pairs for pairs, _ in blocks) <= emp.BLOCK
-    assert max(peak for _, peak in blocks) < 5 * 2**19, blocks
+    assert max(peak for _, peak in blocks) < 2.5 * 2**20, blocks
 
 
 def test_chunks_hold_every_prime_and_factor(monkeypatch):
