@@ -16,15 +16,14 @@ of the window, and each factor found goes straight to its prime's next
 fill slot of the flat list, which therefore needs no sort.
 
 The segments are streamed: each one reaches the kernel as soon as it is
-sieved, so memory stays flat in x: one segment's temporaries (a few MB), the
-segment before it and at most CACHE_BYTES of cached segments.
-Factorizations of p - 1 are independent of g, so a run over [2, x] whose
-segments hold at most CACHE_BYTES in all leaves them cached, and later
-counts for any g over the same x (the requests of one verify panel at
-x = 1e6) pay the sieve cost once.  A larger run drops what it held as soon
-as it passes the budget, and every count over it sieves afresh.  The census
-takes its primes from the same sieve uncached (sieve_primes), so they are
-freed on return.
+sieved, so memory stays flat in x: one segment's temporaries (a few MB) and
+the segment before it.  Factorizations of p - 1 are independent of g, so a
+run over [2, x] that is one segment (x <= SEGMENT + 1, which covers every
+x <= 1e6) leaves it cached, and later counts for any g over the same x (the
+requests of one verify panel) pay the sieve cost once.  A run of several
+segments keeps none of them, and every count over it sieves afresh.  The
+census takes its primes from the same sieve uncached (sieve_primes), so
+they are freed on return.
 
 The orders are computed by one numpy kernel over blocks of a segment's
 primes that hold at most BLOCK (p, l) pairs in all, so its working set
@@ -63,15 +62,8 @@ __all__ = [
 
 X_LIMIT = 10**9
 # numbers per segment of the factor sieve: its temporaries stay a few MB at
-# any x, and every x <= 1e6 is one segment
+# any x, and every x <= 1e6 is one segment, which stays cached
 SEGMENT = 1 << 21
-# a base prime s with at least DENSE multiples of 2s in a segment's window is
-# stripped alone; the sparser ones, whose per-prime Python work would cost
-# more than their multiples do, are stripped in batches
-DENSE = 1 << 8
-# bytes of segments kept for later counts over the same x: a run's segments
-# are cached only while their arrays stay within it (x = 1e6 takes 3.3 MiB)
-CACHE_BYTES = 1 << 23
 # (p, l) pairs per kernel block: bounds the kernel's working set (about
 # 100 bytes per pair) at any segment size
 BLOCK = 1 << 14
@@ -124,13 +116,9 @@ def _segment_factored(lo: int, hi: int, base: np.ndarray):
     last.  p = 2 has none.  Every other p - 1 is even, so tid indexes only
     the even numbers of the window [lo - 1, hi), and the base primes s
     collect which p - 1 they divide: s = 2 takes every odd prime, an odd s
-    visits the multiples of 2s, stride s in tid.  A base prime with at
-    least DENSE such multiples takes them by one strided slice; the sparser
-    ones go in batches of consecutive base primes, whose multiples one
-    gather reads, so the Python work per segment does not grow with the
-    number of base primes up to sqrt(x).  Division chains expose the
-    factor beyond sqrt(hi).  Each factor goes to a per-prime fill slot, so
-    the flat list needs no sort.
+    visits the multiples of 2s, stride s in tid.  Division chains expose
+    the factor beyond sqrt(hi).  Each factor goes to a per-prime fill slot,
+    so the flat list needs no sort.
     """
     pvals = sieve_primes(hi - 1, lo)
     # the smallest even >= lo - 1; tid[j] stands for e0 + 2j
@@ -145,9 +133,9 @@ def _segment_factored(lo: int, hi: int, base: np.ndarray):
     # p - 1 < 2^30 has at most 9 distinct prime factors, so counts fit uint8
     fill = np.zeros(len(pvals), dtype=np.uint8)
     found: list[tuple[np.ndarray, np.ndarray, int | np.ndarray]] = []
-    base = base[: np.searchsorted(base, hi)]
-    n_dense = int(np.searchsorted(base, max(len(tid) // DENSE, 2), side="right"))
-    for s in base[:n_dense].tolist():
+    for s in base.tolist():
+        if s >= hi:
+            break
         if s == 2:
             sel = odd
             # the lowest set bit of each p - 1 is its whole power of 2
@@ -162,41 +150,6 @@ def _segment_factored(lo: int, hi: int, base: np.ndarray):
                 cur = cur[rem[cur] % s == 0]
         found.append((sel, fill[sel], s))
         fill[sel] += 1
-    # each sparse base prime s: the tid index of its first multiple of 2s
-    # (below s) and its count of multiples; a batch takes the next primes
-    # whose multiples number at most len(tid) / 16 in all, or one prime
-    sparse = base[n_dense:]
-    first = -(-e0 // (2 * sparse)) * sparse - e0 // 2
-    cnt = np.maximum(-(-(len(tid) - first) // sparse), 0)
-    ends = np.cumsum(cnt)
-    begin = ends - cnt
-    j = 0
-    while j < len(sparse):
-        k = max(int(np.searchsorted(ends, begin[j] + (len(tid) >> 4), "right")), j + 1)
-        c = cnt[j:k]
-        # int32 suffices: every index and stride is below len(tid)
-        step = np.repeat(sparse[j:k].astype(np.int32), c)
-        # the multiple's rank t within its prime's run, then first + t * s
-        pos = np.arange(len(step), dtype=np.int32)
-        pos -= np.repeat((begin[j:k] - begin[j]).astype(np.int32), c)
-        pos *= step
-        pos += np.repeat(first[j:k].astype(np.int32), c)
-        sel = tid[pos]
-        hit = sel >= 0
-        sel, f = sel[hit], step[hit]
-        # a prime may appear once per s of the batch: ufunc.at divides each time
-        cur, fc = sel, f
-        while len(cur):
-            np.floor_divide.at(rem, cur, fc)
-            more = rem[cur] % fc == 0
-            cur, fc = cur[more], fc[more]
-        # a stable sort by prime keeps each prime's factors ascending, and
-        # numbers its factors from this batch after its earlier ones
-        order = np.argsort(sel, kind="stable")
-        sel, f = sel[order], f[order]
-        found.append((sel, fill[sel] + np.arange(len(sel)) - np.searchsorted(sel, sel), f))
-        np.add.at(fill, sel, 1)
-        j = k
     del tid  # the largest array; no view of it is left, so this frees it before fcat
     big = np.flatnonzero(rem > 1)
     found.append((big, fill[big], rem[big]))
@@ -221,36 +174,28 @@ def check_x(x: int) -> None:
 def _factored_chunks(x: int):
     """Yield the (primes, factor lists) segment chunks covering [2, x], in order.
 
-    Each segment is yielded as soon as it is sieved.  A run that completes
-    with its chunks' arrays within CACHE_BYTES leaves them cached, so the
-    next run over the same x only reads them; a larger run keeps none, and
-    each of its segments is freed once its consumer moves on.
+    Each segment is yielded as soon as it is sieved.  When [2, x] is one
+    segment it stays cached, so the next run over the same x only reads it;
+    a run of several segments keeps none, and each is freed once its
+    consumer moves on.
     """
     check_x(x)
     key = (x, SEGMENT)
     if _factored_cache["key"] == key:
         yield from _factored_cache["chunks"]
         return
-    # the previous x's segments are not read again
+    # the previous x's segment is not read again
     _factored_cache["key"] = _factored_cache["chunks"] = None
     base = primes_upto(math.isqrt(x) + 1)
-    chunks: list | None = []
-    held = 0
     lo = 2
     while lo <= x:
         hi = min(lo + SEGMENT, x + 1)
         chunk = _segment_factored(lo, hi, base)
-        if chunks is not None:
-            held += sum(a.nbytes for a in chunk)
-            if held > CACHE_BYTES:
-                chunks = None
-            else:
-                chunks.append(chunk)
+        if lo == 2 and hi == x + 1:
+            _factored_cache["key"] = key
+            _factored_cache["chunks"] = [chunk]
         yield chunk
         lo = hi
-    if chunks is not None:
-        _factored_cache["key"] = key
-        _factored_cache["chunks"] = chunks
 
 
 def sieve_orders(g: Fraction | int, x: int) -> Iterator[OrderRecord]:

@@ -120,15 +120,19 @@ def test_segmented_equals_monolithic(monkeypatch):
     assert a.counts == c.counts
 
 
+# a segment size that cuts [2, 1e6] into four segments, which are streamed
+STREAMED_1E6 = 1 << 18
+
+
 def _cache_paths(monkeypatch):
     """Yield twice, with an empty chunk cache each time: first with the
-    default budget (a run over [2, x] leaves its chunks cached and later
-    counts read them), then with a budget of 0 (every count streams its own
-    sieve)."""
-    for budget in (emp.CACHE_BYTES, 0):
-        monkeypatch.setattr(emp, "CACHE_BYTES", budget)
+    default SEGMENT (x = 1e6 is one segment, which stays cached and later
+    counts read it), then with SEGMENT = STREAMED_1E6 (x = 1e6 takes four
+    segments, none cached, so every count streams its own sieve)."""
+    for size in (emp.SEGMENT, STREAMED_1E6):
+        monkeypatch.setattr(emp, "SEGMENT", size)
         monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
-        yield budget
+        yield size
 
 
 def _count_sieves(monkeypatch):
@@ -153,24 +157,23 @@ def test_sieve_orders_streams_its_first_record(monkeypatch):
     assert calls == [2]
 
 
-def test_runs_within_the_budget_share_one_sieve(monkeypatch):
-    # the three requests of a verify panel at x = 1e6 sieve [2, x] once;
-    # with no budget each of them sieves it afresh
+def test_one_segment_runs_share_one_sieve(monkeypatch):
+    # the three requests of a verify panel at x = 1e6 sieve its one segment
+    # once; over four segments each of them sieves [2, x] afresh
     calls = _count_sieves(monkeypatch)
-    for budget in _cache_paths(monkeypatch):
+    for size in _cache_paths(monkeypatch):
         calls.clear()
         count_residues(2, 3, 10**6)
         count_residues(-3, 5, 10**6)
         count_joint(Fraction(1, 2), 3, 3, 10**6)
-        assert len(calls) == (1 if budget else 3), budget
-        cached = emp._factored_cache["key"]
-        assert cached == ((10**6, emp.SEGMENT) if budget else None), budget
+        cached = size != STREAMED_1E6
+        assert len(calls) == (1 if cached else 12), size
+        assert emp._factored_cache["key"] == ((10**6, size) if cached else None), size
 
 
 def test_count_memory_flat_in_x(monkeypatch):
-    # traced peak of a count at 3e7: at most CACHE_BYTES of cached segments
-    # before the run passes the budget, then one segment sieved while the one
-    # before it is counted; measured 18.6 MiB.  Caching every segment of
+    # traced peak of a count at 3e7: one segment sieved while the one before
+    # it is counted; measured 18.6 MiB.  Caching every segment of
     # [2, x] peaked at 115 MiB, and grows by about 2.6 bytes per unit of x.
     monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
     tracemalloc.start()
@@ -343,27 +346,29 @@ def oracle():
     ],
 )
 def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
+    # the segments of the smaller sizes are streamed; SEGMENT = x is one
+    # segment, which stays cached
     monkeypatch.setattr(emp, "SEGMENT", size)
     monkeypatch.setattr(emp, "BLOCK", block)
-    for budget in _cache_paths(monkeypatch):
-        for g, ref in oracle.items():
-            recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X)]
-            assert recs == ref, (g, budget)
-            if g in ORACLE_BIG_G:
-                continue
-            tab = count_residues(g, 12, ORACLE_X)
-            want = {a: 0 for a in range(12)}
-            for _, o, _ in ref:
-                want[o % 12] += 1
-            assert tab.counts == want, (g, budget)
-            assert tab.primes_considered == len(ref)
-            jt = count_joint(g, 4, 3, ORACLE_X)
-            want = {}
-            for p, o, _ in ref:
-                want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
-            assert jt.counts == want, (g, budget)
-        cached = emp._factored_cache["key"]
-        assert cached == ((ORACLE_X, size) if budget else None), budget
+    monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
+    for g, ref in oracle.items():
+        recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X)]
+        assert recs == ref, g
+        if g in ORACLE_BIG_G:
+            continue
+        tab = count_residues(g, 12, ORACLE_X)
+        want = {a: 0 for a in range(12)}
+        for _, o, _ in ref:
+            want[o % 12] += 1
+        assert tab.counts == want, g
+        assert tab.primes_considered == len(ref)
+        jt = count_joint(g, 4, 3, ORACLE_X)
+        want = {}
+        for p, o, _ in ref:
+            want[(p % 4, o % 3)] = want.get((p % 4, o % 3), 0) + 1
+        assert jt.counts == want, g
+    cached = emp._factored_cache["key"]
+    assert cached == ((ORACLE_X, size) if size == ORACLE_X else None), size
 
 
 @pytest.mark.parametrize("g", [Fraction(1, 3), Fraction(5, 3), Fraction(1, 2)])
@@ -462,13 +467,13 @@ PINNED_1E6 = {
 
 
 def test_count_tables_pinned_at_1e6(monkeypatch):
-    # on the cached path and on the streamed one
-    for budget in _cache_paths(monkeypatch):
+    # on the cached path (one segment) and on the streamed one (four)
+    for size in _cache_paths(monkeypatch):
         for g, (residues, joint) in PINNED_1E6.items():
             tab = count_residues(Fraction(g), 12, 10**6)
-            assert tab.counts == dict(enumerate(residues)), (g, budget)
-            assert (tab.primes_considered, tab.excluded) == (78497, 1), (g, budget)
-            assert count_joint(Fraction(g), 4, 3, 10**6).counts == joint, (g, budget)
+            assert tab.counts == dict(enumerate(residues)), (g, size)
+            assert (tab.primes_considered, tab.excluded) == (78497, 1), (g, size)
+            assert count_joint(Fraction(g), 4, 3, 10**6).counts == joint, (g, size)
 
 
 def _brute_census(q, x):
