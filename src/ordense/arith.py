@@ -97,8 +97,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """Return a nontrivial factor of composite odd n (deterministic seeding)."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         x = y = 2
@@ -139,8 +137,6 @@ def factorize(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             fac[m] = fac.get(m, 0) + 1
             continue

@@ -111,13 +111,12 @@ class DirichletCharacter:
     whenever gcd(n, modulus) > 1.
     """
 
-    __slots__ = ("modulus", "phi", "generator", "index", "order", "_group")
+    __slots__ = ("modulus", "phi", "index", "order", "_group")
 
     def __init__(self, group: "CharacterGroup", index: int):
         self._group = group
         self.modulus = group.modulus
         self.phi = group.phi
-        self.generator = group.generator
         self.index = index % group.phi
         self.order = group.phi // math.gcd(self.index, group.phi)
 

@@ -50,7 +50,6 @@ import numpy as np
 from .arith import euler_phi, factorize, is_prime, kronecker, odd_prime_power, valuation
 from .characters import (
     DEFAULT_PRIME_CUTOFF,
-    CharacterGroup,
     a_chi,
     c_chi,
     character_group,
@@ -278,12 +277,6 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     return out
 
 
-def _series_tail(dec: GDecomposition, d: int, cfg: TruncationConfig, kind: str) -> float:
-    if kind == "v":
-        return _HEURISTIC_C * dec.h * d / cfg.v_max
-    return _HEURISTIC_C * dec.h * d * (1.0 / cfg.t_max + 1.0 / cfg.n_max)
-
-
 def delta_level_q_series(
     dec: GDecomposition, a: int, q: int, cfg: TruncationConfig = DEFAULT_CONFIG
 ) -> tuple[DensityValue, DensityValue]:
@@ -306,7 +299,7 @@ def delta_level_q_series(
     for r in range(q):
         if acc2[r] and kronecker((r * a + 1) % q, q) == -1:
             corr += acc2[r]
-    tail = _series_tail(dec, q, cfg, "v")
+    tail = _HEURISTIC_C * dec.h * q / cfg.v_max
     return (
         DensityValue(d0, tail, False, "series"),
         DensityValue(d0 - corr, tail, False, "series"),
@@ -324,17 +317,6 @@ def _bsum(chi, q: int) -> complex:
         if kronecker(1 - b, q) == -1:
             tot += chi(b).conjugate()
     return tot
-
-
-def _avg_charform_terms(grp: CharacterGroup, a: int, prime_cutoff: int):
-    """(value, error) of sum_chi chi(-a) A_chi."""
-    tot = 0j
-    err = 0.0
-    for chi in grp:
-        av = a_chi(chi, prime_cutoff)
-        tot += chi(-a) * av.value
-        err += av.tail_bound
-    return tot, err
 
 
 def _charform_pair(dec: GDecomposition, a: int, q: int, prime_cutoff: int):
@@ -497,8 +479,13 @@ def delta_avg(
         if a % q == 0:
             val = Fraction(q, q * q - 1) / scale
             return DensityValue(float(val), 0.0, True, "closed_form", exact=val)
-        grp = character_group(q)
-        tot, err = _avg_charform_terms(grp, a % q, cfg.prime_cutoff)
+        # sum_chi chi(-a) A_chi and its error
+        tot = 0j
+        err = 0.0
+        for chi in character_group(q):
+            av = a_chi(chi, cfg.prime_cutoff)
+            tot += chi(-a) * av.value
+            err += av.tail_bound
         if abs(tot.imag) > 1e-12:
             raise AssertionError("A_chi sum has a nonvanishing imaginary part")
         val = (float(Fraction(q * q, (q - 1) * (q * q - 1))) - tot.real / (q - 1) ** 2) / scale
@@ -607,7 +594,7 @@ def delta_general_series(
         total = _running_sum(total, term[c == 1])
         lo = _running_sum(lo, term[undecided & (term < 0)])
         hi = _running_sum(hi, term[undecided & (term > 0)])
-    tail = _series_tail(dec, d, cfg, "tn")
+    tail = _HEURISTIC_C * dec.h * d * (1.0 / cfg.t_max + 1.0 / cfg.n_max)
     d0 = DensityValue(total0, tail, False, "series")
     if lo == 0.0 and hi == 0.0:
         return d0, DensityValue(total, tail, False, "series")

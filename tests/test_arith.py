@@ -40,6 +40,14 @@ def test_factorize_semiprime_of_large_primes():
     assert factorize(p * q).pairs == ((p, 1), (q, 1))
 
 
+def test_factorize_splits_above_the_trial_cap():
+    # every factor lies above the 2**20 trial-division cap, so Pollard rho splits these
+    m31, p32 = 2**31 - 1, 2**32 - 5
+    assert factorize(1_048_583 * 1_048_589).pairs == ((1_048_583, 1), (1_048_589, 1))
+    assert factorize(m31 * m31).pairs == ((m31, 2),)
+    assert factorize(m31 * p32).pairs == ((m31, 1), (p32, 1))
+
+
 def test_factorize_range_errors():
     with pytest.raises(ValueError):
         factorize(0)

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import re
 import subprocess
@@ -148,6 +149,20 @@ def test_verify_joint():
     assert '"p_class":1' in out and '"predicted":0.375' in out
 
 
+def test_verify_joint_without_prediction():
+    # d1 != d has no analytic joint density: counts only
+    code, out, _ = _run(["verify", "--g", "2", "--d", "3", "--x", "100", "--d1", "4"])
+    assert code == 0
+    report = json.loads(out)
+    assert all("predicted" not in row for row in report["classes"])
+    assert sum(row["count"] for row in report["classes"]) == report["primes_considered"] == 24
+
+
+def test_verify_refuses_x_below_2():
+    code, out, err = _run(["verify", "--g", "2", "--d", "3", "--x", "1"])
+    assert code == 2 and out == "" and err == "error: need d >= 2 and x >= 2\n"
+
+
 def test_formats():
     code, out, _ = _run(["--format", "text", "decompose", "--g", "8"])
     assert code == 0 and "h = 3" in out
@@ -191,12 +206,25 @@ def test_verify_rejects_oversized_g_before_sieving(monkeypatch):
 
 
 def test_env_pmax_override(monkeypatch):
+    # --pmax is the only way to set the prime cutoff: the environment is not read
     monkeypatch.setenv("ORDENSE_PMAX", "250000")
     code, out, _ = _run(["constants", "--q", "3"])
-    assert code == 0 and '"prime_cutoff":250000' in out
-    monkeypatch.delenv("ORDENSE_PMAX")
+    assert code == 0 and '"prime_cutoff":10000000' in out
     code, out, _ = _run(["constants", "--q", "3", "--pmax", "1000000"])
     assert '"prime_cutoff":1000000' in out
+
+
+def test_density_bracketed_output():
+    # undecided entanglement terms give a bracket lo < value < hi
+    argv = ["density", "--g", "2", "--a", "1", "--d", "6", "--tmax", "50", "--nmax", "50"]
+    code, out, _ = _run(argv)
+    assert code == 0
+    row = json.loads(out)
+    assert row["lo"] < row["value"] < row["hi"]
+    code, out, _ = _run(["--format", "text", *argv])
+    assert code == 0
+    row = dict(line.split(" = ") for line in out.splitlines())
+    assert float(row["lo"]) < float(row["value"]) < float(row["hi"])
 
 
 def test_density_composite_modulus_series():
@@ -242,12 +270,6 @@ def test_zero_truncation_flags_rejected(monkeypatch):
         code, _, err = _run(argv)
         assert code == 2 and "<= 1e" in err, argv
     TruncationConfig(t_max=10**7, n_max=10**7, v_max=10**7, prime_cutoff=10**8)
-    monkeypatch.setenv("ORDENSE_PMAX", "100000001")
-    code, _, err = _run(["constants", "--q", "3"])
-    assert code == 2 and "<= 1e8" in err
-    monkeypatch.setenv("ORDENSE_PMAX", "0")
-    code, _, err = _run(closed)
-    assert code == 2 and ">= 1" in err
 
 
 def test_verify_refuses_cutoff_below_euler_range():

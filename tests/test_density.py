@@ -51,6 +51,11 @@ def test_zero_class_closed_forms():
         delta_g_zero_class(decompose(2), 2)
 
 
+def test_zero_class_refuses_composite_modulus():
+    with pytest.raises(ValueError, match="15 is not prime"):
+        delta_g_zero_class(decompose(2), 15)
+
+
 def test_classico_matches_closed_form():
     for g in (2, 3, 5, 8, 27, -2, -3, -4, Fraction(16, 81)):
         dec = decompose(g)
