@@ -33,8 +33,12 @@ denominator by Fermat) and tables g^0 .. g^7 mod p per prime; then each
 round of stripping takes one left-to-right power with 3-bit windows
 (WINDOW) for every (p, l) pair still being stripped, reading its prime's
 table row.  Every residue is below 2^30, so products stay below 2^60 and
-the int64 arithmetic is exact.  sieve_orders, count_residues and
-count_joint all read its arrays.
+the int64 arithmetic is exact.  sieve_orders reads exact orders from it.
+count_residues and count_joint need the order only mod d, and a factor
+l = 1 (mod d) of p - 1 changes it only by powers of l, each = 1 (mod d):
+so their kernel strips only the pairs with l != 1 (mod d), and returns
+ord_p(g) times powers of such l.  They count only the classes that occur,
+and take the primes dividing g from the kernel, which drops them.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 from .sieve import primes_upto, sieve_primes
 
 __all__ = [
@@ -205,7 +209,7 @@ def sieve_orders(g: Fraction | int, x: int) -> Iterator[OrderRecord]:
     record comes from the first kernel block of the first segment.
     """
     g = _check_g(g)
-    for p, o in _orders(g, x):
+    for _, p, o in _orders(g, x):
         for pi, oi, ii in zip(p.tolist(), o.tolist(), ((p - 1) // o).tolist()):
             yield OrderRecord(pi, oi, ii)
 
@@ -217,11 +221,13 @@ def _check_g(g) -> Fraction:
     return g
 
 
-def _orders(g: Fraction, x):
-    """(primes, orders) array pairs, one per kernel block, over p <= x with nu_p(g) = 0.
+def _orders(g: Fraction, x, m=1 << _BITS):
+    """(block size, primes, orders) per kernel block, over p <= x with nu_p(g) = 0.
 
     A block is the longest run of a segment's primes whose factors of p - 1
-    number at most BLOCK in all (one prime, when its own exceed BLOCK).
+    number at most BLOCK in all (one prime, when its own exceed BLOCK); its
+    size counts the primes dividing g too, which the kernel drops.  The
+    orders are exact mod m (see _block_orders), and exact at the default.
     """
     for pvals, fcat, bounds in _factored_chunks(x):
         i0, n = 0, len(pvals)
@@ -229,13 +235,16 @@ def _orders(g: Fraction, x):
             end = np.searchsorted(bounds, bounds[i0] + BLOCK, side="right") - 1
             i1 = max(int(end), i0 + 1)
             lo, hi = bounds[i0], bounds[i1]
-            yield _block_orders(
-                g, pvals[i0:i1], fcat[lo:hi], np.diff(bounds[i0 : i1 + 1])
+            p, o = _block_orders(
+                g, pvals[i0:i1], fcat[lo:hi], np.diff(bounds[i0 : i1 + 1]), m
             )
+            yield i1 - i0, p, o
             i0 = i1
 
 
-def _block_orders(g: Fraction, p: np.ndarray, ells: np.ndarray, nfac: np.ndarray):
+def _block_orders(
+    g: Fraction, p: np.ndarray, ells: np.ndarray, nfac: np.ndarray, m: int = 1 << _BITS
+):
     """ord_p(g) for a block of primes p; ells lists the distinct prime factors
     of each p - 1 in turn, nfac[i] of them for p[i].
 
@@ -244,6 +253,12 @@ def _block_orders(g: Fraction, p: np.ndarray, ells: np.ndarray, nfac: np.ndarray
     The index (p - 1) / ord is the product of the stripped ells.  The powers
     g^0 .. g^(2^WINDOW - 1) mod p are tabled once per prime; every pair of
     that prime reads its row, in every stripping round.
+
+    The pairs with ell = 1 (mod m) are not stripped: they would only divide
+    the result by powers of ell, each = 1 (mod m), so the result is ord_p(g)
+    times such powers and has the class of ord_p(g) mod m.  Every ell is
+    below the default m = 2^30, so there every pair strips and the result is
+    ord_p(g).
     """
     # a prime dividing g leaves gm = 0, which never strips; it is dropped last
     gm = _residue(g.numerator, p)
@@ -258,7 +273,7 @@ def _block_orders(g: Fraction, p: np.ndarray, ells: np.ndarray, nfac: np.ndarray
     pm = p[owner]
     exp = pm - 1
     index = np.ones_like(p)
-    act = np.arange(len(ells))
+    act = np.flatnonzero(ells % m != 1 % m)
     while len(act):
         ell = ells[act]
         e = exp[act] // ell
@@ -314,40 +329,51 @@ def _powmod(table: np.ndarray, rows: np.ndarray, exp: np.ndarray, mod: np.ndarra
 
 
 def count_residues(g: Fraction | int, d: int, x: int) -> CountTable:
-    """Counts of ord_p(g) mod d over primes p <= x with nu_p(g) = 0."""
+    """Counts of ord_p(g) mod d over primes p <= x with nu_p(g) = 0; only
+    the classes that occur are keys.
+
+    The kernel skips the pairs (p, l) with l = 1 (mod d), which cannot move
+    the class of the order (see _block_orders).
+    """
     if d < 1:
         raise ValueError("d must be positive")
     g = _check_g(g)
-    excluded = _count_excluded(g, x)
-    counts = np.zeros(d, dtype=np.int64)
-    for _, o in _orders(g, x):
-        counts += np.bincount(o % d, minlength=d)
-    considered = int(counts.sum())
-    return CountTable(g, x, d, None, dict(enumerate(counts.tolist())), considered, excluded)
+    counts, excluded = _count(g, x, 1, d)
+    return CountTable(
+        g, x, d, None, {a: c for (_, a), c in counts.items()}, sum(counts.values()), excluded
+    )
 
 
 def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
-    """Joint counts keyed by (p mod d1, ord_p(g) mod d2); only keys that occur."""
+    """Joint counts keyed by (p mod d1, ord_p(g) mod d2); only keys that occur.
+
+    The kernel skips the pairs (p, l) with l = 1 (mod d2), as count_residues
+    does for d.
+    """
     if d1 < 1 or d2 < 1:
         raise ValueError("moduli must be positive")
     g = _check_g(g)
-    excluded = _count_excluded(g, x)
-    # p and ord are below 2^30, so a larger modulus leaves their classes
-    # unchanged and both classes fit one int64 key
+    counts, excluded = _count(g, x, d1, d2)
+    return CountTable(g, x, d2, d1, counts, sum(counts.values()), excluded)
+
+
+def _count(g: Fraction, x: int, d1: int, d2: int):
+    """({(p mod d1, ord_p(g) mod d2): count} over the keys that occur, and the
+    number of primes p <= x dividing g's numerator or denominator).
+
+    p and the kernel's results are below 2^30, so a larger modulus leaves
+    their classes unchanged and both classes fit one int64 key.
+    """
     m1, m2 = min(d1, 1 << _BITS), min(d2, 1 << _BITS)
     counts: dict = {}
-    for p, o in _orders(g, x):
+    excluded = 0
+    for n, p, o in _orders(g, x, m2):
+        excluded += n - len(p)
         keys, cnts = np.unique((p % m1) << _BITS | o % m2, return_counts=True)
         for k, c in zip(keys.tolist(), cnts.tolist()):
             key = (k >> _BITS, k & _MASK)
             counts[key] = counts.get(key, 0) + c
-    considered = sum(counts.values())
-    return CountTable(g, x, d2, d1, counts, considered, excluded)
-
-
-def _count_excluded(g: Fraction, x: int) -> int:
-    bad = set(factorize(abs(g.numerator)).primes) | set(factorize(g.denominator).primes)
-    return sum(1 for p in bad if p <= x)
+    return counts, excluded
 
 
 @dataclass

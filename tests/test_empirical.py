@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,14 @@ def test_count_joint_huge_moduli():
     assert jt.counts == {(p, o): 1 for p, o in HAND_ORDERS_G2.items()}
 
 
+def test_count_residues_huge_modulus():
+    # counters for the classes that occur only: d counters per block asked
+    # for 2^73 bytes
+    tab = count_residues(2, 2**70, 20)
+    assert tab.counts == {o: 1 for o in sorted(HAND_ORDERS_G2.values())}
+    assert (tab.primes_considered, tab.excluded) == (7, 1)
+
+
 def test_joint_zero_class_forces_one_mod_q():
     jt = count_joint(2, 3, 3, 50_000)
     for (a1, a2), c in jt.counts.items():
@@ -194,10 +203,10 @@ def test_kernel_block_working_set(monkeypatch):
     kernel = emp._block_orders
     blocks = []
 
-    def traced(g, p, ells, nfac):
+    def traced(g, p, ells, nfac, m):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = kernel(g, p, ells, nfac)
+        out = kernel(g, p, ells, nfac, m)
         blocks.append((len(ells), tracemalloc.get_traced_memory()[1] - before))
         return out
 
@@ -291,15 +300,17 @@ def test_g_validation():
         count_joint(1, 3, 3, 100)
 
 
-def test_oversized_g_rejected_before_sieving(monkeypatch):
+def test_invalid_input_rejected_before_sieving(monkeypatch):
     def no_sieve(*args):
-        raise AssertionError("sieved before validating g")
+        raise AssertionError("sieved before validating the input")
 
     monkeypatch.setattr(emp, "_factored_chunks", no_sieve)
-    with pytest.raises(ValueError, match="factorize"):
-        count_residues(2**70 + 1, 3, 10**6)
-    with pytest.raises(ValueError, match="factorize"):
-        count_joint(Fraction(1, 2**64), 3, 3, 10**6)
+    with pytest.raises(ValueError, match="g must avoid"):
+        count_residues(1, 3, 10**6)
+    with pytest.raises(ValueError, match="d must be positive"):
+        count_residues(2**70 + 1, 0, 10**6)
+    with pytest.raises(ValueError, match="moduli must be positive"):
+        count_joint(Fraction(1, 2**64), 3, 0, 10**6)
 
 
 def _scalar_orders(g, x):
@@ -325,7 +336,7 @@ def _scalar_orders(g, x):
 
 ORACLE_X = 300_000
 ORACLE_G = [2, 3, -3, 4, 8, Fraction(1, 2), Fraction(9, 2), Fraction(-3, 4), 5832]
-# beyond factorize's range: only sieve_orders accepts these
+# beyond factorize's range
 ORACLE_BIG_G = [2**70 + 1, Fraction(-(2**70 + 1), 3**41)]
 
 
@@ -354,14 +365,13 @@ def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
     for g, ref in oracle.items():
         recs = [(r.p, r.ord, r.index) for r in sieve_orders(g, ORACLE_X)]
         assert recs == ref, g
-        if g in ORACLE_BIG_G:
-            continue
         tab = count_residues(g, 12, ORACLE_X)
         want = {a: 0 for a in range(12)}
         for _, o, _ in ref:
             want[o % 12] += 1
         assert tab.counts == want, g
         assert tab.primes_considered == len(ref)
+        assert tab.excluded == len(sieve.sieve_primes(ORACLE_X)) - len(ref), g
         jt = count_joint(g, 4, 3, ORACLE_X)
         want = {}
         for p, o, _ in ref:
@@ -369,6 +379,70 @@ def test_kernel_matches_scalar_oracle(oracle, monkeypatch, size, block):
         assert jt.counts == want, g
     cached = emp._factored_cache["key"]
     assert cached == ((ORACLE_X, size) if size == ORACLE_X else None), size
+
+
+# the count moduli: 2 (only l = 2 strips), odd primes, prime powers, composites
+# and one above the 2^30 cap, where no pair is skipped
+COUNT_D = [2, 3, 4, 5, 6, 7, 8, 12, 24, 2**30 + 1]
+JOINT_D = [(4, 3), (3, 7), (5, 2), (2**70, 2**64 + 1)]
+
+
+@pytest.mark.parametrize("size", [1 << 16, ORACLE_X])
+def test_counts_mod_d_match_scalar_oracle(oracle, monkeypatch, size):
+    # counts skip the pairs with l = 1 (mod d) yet equal the classes of the
+    # oracle's exact orders; streamed segments at 2^16, one cached at x
+    monkeypatch.setattr(emp, "SEGMENT", size)
+    monkeypatch.setattr(emp, "_factored_cache", {"key": None, "chunks": None})
+    for g, ref in oracle.items():
+        for d in COUNT_D:
+            want = Counter(o % d for _, o, _ in ref)
+            assert count_residues(g, d, ORACLE_X).counts == want, (g, d)
+        for d1, d2 in JOINT_D:
+            want = Counter((p % d1, o % d2) for p, o, _ in ref)
+            assert count_joint(g, d1, d2, ORACLE_X).counts == want, (g, d1, d2)
+
+
+def _first_round_ells(monkeypatch):
+    """A list that gains, per kernel block from now on, the l of every pair
+    that its first stripping round powers (None for a block with no round).
+
+    For an integer g the first _powmod of a block is that round, and each
+    of its exponents is (p - 1) / l."""
+    kernel, powmod = emp._block_orders, emp._powmod
+    firsts = []
+
+    def block(*args):
+        firsts.append(None)
+        return kernel(*args)
+
+    def power(table, rows, exp, mod):
+        if firsts[-1] is None:
+            firsts[-1] = ((mod - 1) // exp).tolist()
+        return powmod(table, rows, exp, mod)
+
+    monkeypatch.setattr(emp, "_block_orders", block)
+    monkeypatch.setattr(emp, "_powmod", power)
+    return firsts
+
+
+def test_counts_skip_pairs_with_ell_one_mod_d(monkeypatch):
+    firsts = _first_round_ells(monkeypatch)
+
+    def powered():
+        ells = [ell for f in firsts if f is not None for ell in f]
+        firsts.clear()
+        return Counter(ells)
+
+    x = 10**5
+    count_residues(2, 2, x)
+    assert set(powered()) == {2}
+    count_residues(2, 3, x)
+    ells = powered()
+    assert ells[3] and ells[2] and not [ell for ell in ells if ell % 3 == 1]
+    # exact orders power every pair
+    list(sieve_orders(2, x))
+    every = Counter(ell for _, fcat, _ in emp._factored_chunks(x) for ell in fcat.tolist())
+    assert powered() == every
 
 
 @pytest.mark.parametrize("g", [Fraction(1, 3), Fraction(5, 3), Fraction(1, 2)])
