@@ -32,12 +32,16 @@ expanded in powers of u, x and y, so the factor's log is
 with w_2 kept only up to P1 = 2*10^5: M = 2 terms of each series up to
 P1 and, for the series in c, M = 1 above it.  w_0 depends on neither the
 modulus nor the character, so one pass over the primes P0 < p <= P sums
-it, cached per cutoff.  Artin's constant reads that sum; A_chi subtracts
+it, once per cutoff.  Artin's constant reads that sum; A_chi subtracts
 w_0(q) when P0 < q <= P, q being the one prime with chi(q) = 0.  The
 class sums S[m, r] of w_m(p), m = 1, 2, over the primes P0 < p <= P with
-p = r (mod q^s) are one more pass per (modulus, cutoff), also cached; each
-character then costs exp(generic sum + sum over r of chi(r) S[1, r] +
+p = r (mod q^s) are one more pass per (modulus, cutoff); each character
+then costs exp(generic sum + sum over r of chi(r) S[1, r] +
 chi(r)^2 S[2, r]), O(q) work.
+
+Both sums, a_chi and c_chi are memoised by their arguments with
+functools.lru_cache (characters compare and hash by modulus and index), so
+a_chi.cache_info() and the like report each cache's hits and misses.
 
 Two rigorous bounds make up the tail bound.  Each omitted factor (p > P)
 differs from 1 by at most 2.05/p^2, and sum_{p>P} 1/p^2 <= 2.52/(P log P)
@@ -220,13 +224,12 @@ def h_chi(chi: DirichletCharacter, v: int) -> complex:
         raise ValueError("v must be positive")
     out = 1 + 0j
     for p, e in factorize(v):
-        k = chi.exponent(p)
-        if k is None:
+        c = chi(p)
+        if c == 0:
             if e >= 2:
                 return 0j
             out *= -1
         else:
-            c = complex(chi._group.roots[k])
             out *= c ** (e - 1) * (c - 1)
     return out
 
@@ -254,9 +257,6 @@ def _tail_factor(prime_cutoff: int, tail_const: float = _TAIL_CONST) -> float:
     if prime_cutoff > _SERIES_FROM:
         log_bound += _SERIES_REMAINDER
     return math.expm1(log_bound)
-
-
-_euler_cache: dict[tuple, EulerProductValue | np.ndarray | float] = {}
 
 
 def _w0(p):
@@ -303,26 +303,24 @@ def _series_primes(prime_cutoff: int) -> np.ndarray:
     return primes[int(np.searchsorted(primes, _SERIES_FROM, side="right")) :]
 
 
+@lru_cache(maxsize=None)
 def _generic_log(prime_cutoff: int) -> float:
-    """_generic_sum over the primes P0 < p <= prime_cutoff, cached per cutoff."""
-    key = ("g", prime_cutoff)
-    total = _euler_cache.get(key)
-    if total is None:
-        total = _euler_cache[key] = _generic_sum(_series_primes(prime_cutoff))
-    return total
+    """_generic_sum over the primes P0 < p <= prime_cutoff, memoised per cutoff."""
+    return _generic_sum(_series_primes(prime_cutoff))
 
 
+@lru_cache(maxsize=None)
 def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
-    """_sum_by_class over the primes P0 < p <= prime_cutoff, cached per (modulus, cutoff)."""
-    key = ("s", modulus, prime_cutoff)
-    sums = _euler_cache.get(key)
-    if sums is None:
-        sums = _sum_by_class(_series_primes(prime_cutoff), modulus)
-        sums.flags.writeable = False
-        _euler_cache[key] = sums
+    """_sum_by_class over the primes P0 < p <= prime_cutoff, memoised per (modulus, cutoff).
+
+    Read-only: every character mod the modulus shares the one array.
+    """
+    sums = _sum_by_class(_series_primes(prime_cutoff), modulus)
+    sums.flags.writeable = False
     return sums
 
 
+@lru_cache(maxsize=None)
 def a_chi(
     chi: DirichletCharacter, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> EulerProductValue:
@@ -336,10 +334,6 @@ def a_chi(
     check_prime_cutoff(prime_cutoff)
     if chi.is_principal:
         return EulerProductValue(1 + 0j, 0.0, prime_cutoff)
-    key = ("a", chi.modulus, chi.index, prime_cutoff)
-    hit = _euler_cache.get(key)
-    if hit is not None:
-        return hit
     table = chi.value_table()
     # chi(p) = 0 exactly at p = q, the prime of the modulus q^s, so q is
     # left out of the exact product and its weight out of the generic sum
@@ -357,9 +351,7 @@ def a_chi(
         sums = _class_sums(chi.modulus, prime_cutoff)
         log = complex(generic) + complex(table @ sums[0]) + complex((table * table) @ sums[1])
         value *= cmath.exp(log)
-    out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
-    _euler_cache[key] = out
-    return out
+    return EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
 
 
 def _local_factor(chi: DirichletCharacter, p: int, alpha: int, nu: int) -> complex:
@@ -386,6 +378,7 @@ def _local_factor(chi: DirichletCharacter, p: int, alpha: int, nu: int) -> compl
     return 1 + t if alpha == 0 else t
 
 
+@lru_cache(maxsize=None)
 def c_chi(
     chi: DirichletCharacter,
     h: int,
@@ -395,7 +388,8 @@ def c_chi(
 ) -> EulerProductValue:
     """Partial Euler product for C_chi(h, r, s) with a rigorous tail bound.
 
-    Invariant under the sign of s (|s| is used).  C_chi differs from A_chi
+    Invariant under the sign of s (|s| is used; a negative s is memoised
+    apart from |s|, with the same value).  C_chi differs from A_chi
     only at the primes p dividing h*r*s*q.  A prime dividing r forces v
     coprime to it: if it also divides s the sum is empty (exact 0),
     otherwise its local factor is 1.  The other such primes get exact
@@ -408,14 +402,8 @@ def c_chi(
         raise ValueError("need h >= 1, r >= 1, s != 0")
     check_prime_cutoff(prime_cutoff)
     s = abs(s)
-    key = ("c", chi.modulus, chi.index, h, r, s, prime_cutoff)
-    hit = _euler_cache.get(key)
-    if hit is not None:
-        return hit
     if math.gcd(r, s) > 1:
-        out = EulerProductValue(0j, 0.0, prime_cutoff)
-        _euler_cache[key] = out
-        return out
+        return EulerProductValue(0j, 0.0, prime_cutoff)
     corrected = {*factorize(h).primes, *factorize(r).primes, *factorize(s).primes}
     value = a_chi(chi, prime_cutoff).value
     for p in sorted(corrected | {chi._group.prime}):
@@ -424,9 +412,7 @@ def c_chi(
             value /= _generic_factor(float(p), c)
         if r % p:
             value *= _local_factor(chi, p, valuation(p, s), valuation(p, h))
-    out = EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
-    _euler_cache[key] = out
-    return out
+    return EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
 
 
 def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,7 +197,6 @@ def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
 # ---------------------------------------------------------------------------
 # the level-q v-series evaluators
 
-_level_q_cache: dict[tuple, tuple[list[float], list[float]]] = {}
 # (v, class) cells per block of the level-q v-series: a block holds at most
 # V_CELLS // max(q, 16) values of v, which also bounds its lists of
 # squarefree divisors (about 10 per v near 1e6), so the arrays stay flat in
@@ -234,6 +234,7 @@ def _class_counts(v: np.ndarray, q: int, spf: np.ndarray) -> np.ndarray:
     return counts.reshape(len(v), q)
 
 
+@lru_cache(maxsize=None)
 def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     """Per-residue-class accumulators of the two level-q v-series.
 
@@ -251,12 +252,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     a class with M_r(v) = 0 or a v outside the sqrt(q*) support adds a
     signed 0.0, which leaves a running sum unchanged.  The integers are
     int64 when the degree numerators 2(q-1)phi(v)v < 2q v_max^2 fit, else
-    Python ints.
+    Python ints.  Memoised per (dec, q, v_max); callers only read the lists.
     """
-    key = (dec.g, q, v_max)
-    hit = _level_q_cache.get(key)
-    if hit is not None:
-        return hit
     spf, phi, _ = tables(v_max)
     dt = _int_dtype(2 * q * v_max**2)
     acc1 = np.zeros(q)
@@ -272,9 +269,7 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         counts = _class_counts(vs, q, spf)
         acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
         acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
-    out = (acc1.tolist(), acc2.tolist())
-    _level_q_cache[key] = out
-    return out
+    return acc1.tolist(), acc2.tolist()
 
 
 def delta_level_q_series(
@@ -516,7 +511,9 @@ def delta_prime_power(
 
     Level q is the j- or v-series under method 'series'.  Under 'auto',
     'char' and 'closed' it is the exact closed form on the zero class and
-    the character form on the other classes, which 'closed' refuses.
+    the character form on the other classes, which 'closed' refuses.  An
+    exact result's value is its rescaled rational rounded once, so it stays
+    float(exact).
     """
     _require_odd_prime(q)
     if s < 1:
@@ -537,7 +534,7 @@ def delta_prime_power(
     scale = q ** (s - 1)
     exact = base.exact / scale if base.exact is not None else None
     return DensityValue(
-        base.value / scale,
+        base.value / scale if exact is None else float(exact),
         base.error_bound / scale,
         base.rigorous,
         "scaled",

@@ -181,7 +181,8 @@ def _factored_chunks(x: int):
     Each segment is yielded as soon as it is sieved.  When [2, x] is one
     segment it stays cached, so the next run over the same x only reads it;
     a run of several segments keeps none, and each is freed once its
-    consumer moves on.
+    consumer moves on.  The cache is kept by hand, not by argument: it holds
+    at most one x and drops it before the next x is sieved.
     """
     check_x(x)
     key = (x, SEGMENT)

@@ -57,7 +57,11 @@ def sieve_primes(hi: int, lo: int = 2) -> np.ndarray:
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (cached, grow-only)."""
+    """All primes <= limit as an int64 array (cached, grow-only).
+
+    Cached by hand, not by argument: a smaller limit reuses the larger
+    array as a slice, and a larger one replaces it.
+    """
     cached = _prime_cache.get("primes")
     if cached is None or _prime_cache["limit"] < limit:
         cached = sieve_primes(limit)
@@ -69,7 +73,8 @@ def primes_upto(limit: int) -> np.ndarray:
 def tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(spf, phi, mu) int64 arrays indexed 0..limit or further; spf[1] = 1.
 
-    Cached and grow-only, so the arrays are shared and read-only.
+    Cached and grow-only, so the arrays are shared and read-only.  Cached by
+    hand, not by argument: any limit up to the held one reads the same arrays.
     """
     hit = _table_cache.get("t")
     if hit is not None and hit[0] >= limit:

@@ -8,6 +8,7 @@ import pytest
 import ordense.characters
 from ordense.arith import euler_phi, factorize, moebius, valuation
 from ordense.characters import (
+    CharacterGroup,
     a_chi,
     artin_constant,
     c_chi,
@@ -142,11 +143,16 @@ def test_a_chi_tail_bound_honest():
             assert abs(fine.value - coarse.value) <= coarse.tail_bound, (q, chi.index)
 
 
-def test_a_chi_memory_bounded(monkeypatch):
+def _clear_euler_caches():
+    for fn in (ordense.characters._generic_log, ordense.characters._class_sums, a_chi, c_chi):
+        fn.cache_clear()
+
+
+def test_a_chi_memory_bounded():
     # whole-length values and factors over the 664579 primes below 1e7 would
     # peak near 41 MB; factors built one chunk at a time keep it under 12 MB
     primes_upto(10**7)
-    monkeypatch.setattr(ordense.characters, "_euler_cache", {})
+    _clear_euler_caches()
     tracemalloc.start()
     try:
         a_chi(character_group(5).characters[1], 10**7)
@@ -161,7 +167,7 @@ def test_a_chi_sums_built_once_per_modulus(monkeypatch):
     # modulus and by Artin's constant; the per-class prime sums are one pass
     # per (modulus, cutoff), whatever the number of characters.  Each pass
     # is named by the largest prime it sums over.
-    monkeypatch.setattr(ordense.characters, "_euler_cache", {})
+    _clear_euler_caches()
     generic, classes = [], []
     build_generic = ordense.characters._generic_sum
     build_classes = ordense.characters._sum_by_class
@@ -188,10 +194,24 @@ def test_a_chi_sums_built_once_per_modulus(monkeypatch):
     assert classes == [(q, top) for top in tops for q in (3, 5, 1009)]
 
 
-def test_a_chi_memory_bounded_for_large_modulus(monkeypatch):
+def test_equal_characters_share_cache_entries():
+    # a character of a fresh group equals and hashes as the cached group's
+    # one, so a_chi reads the entry the cached character filled
+    cached = character_group(5).characters[1]
+    fresh = CharacterGroup(5).characters[1]
+    assert fresh is not cached and fresh == cached and hash(fresh) == hash(cached)
+    assert fresh != CharacterGroup(5).characters[3] and fresh != character_group(7).characters[1]
+    want = a_chi(cached, 10**4)
+    before = a_chi.cache_info()
+    assert a_chi(fresh, 10**4) is want
+    after = a_chi.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_chi_memory_bounded_for_large_modulus():
     # one chunk of the class-sum pass plus O(q) sums and value table
     primes_upto(10**7)
-    monkeypatch.setattr(ordense.characters, "_euler_cache", {})
+    _clear_euler_caches()
     tracemalloc.start()
     try:
         a_chi(character_group(1009).characters[1], 10**7)

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 import ordense.density as density
-from ordense.arith import discriminant_sqrt, euler_phi, factorize, kronecker, moebius, nu2
-from ordense.characters import a_chi, character_group
+from ordense.arith import (
+    discriminant_sqrt,
+    euler_phi,
+    factorize,
+    kronecker,
+    moebius,
+    nu2,
+    odd_prime_power,
+)
+from ordense.characters import a_chi, c_chi, character_group
 from ordense.decomp import decompose, n_r
 from ordense.density import (
     DensityValue,
@@ -272,19 +280,19 @@ def _level_q_oracle(dec, q, v_max):
 _LEVEL_Q_G = (2, -2, -3, 4, -4, 5, 8, -8, 9, 12, Fraction(1, 2), -27)
 
 
-def _fresh_accumulators(dec, q, v_max, monkeypatch):
-    monkeypatch.setattr(density, "_level_q_cache", {})
+def _fresh_accumulators(dec, q, v_max):
+    _level_q_accumulators.cache_clear()
     return _level_q_accumulators(dec, q, v_max)
 
 
-def test_level_q_matches_scalar_oracle(monkeypatch):
+def test_level_q_matches_scalar_oracle():
     # every class of both accumulators, exactly: the blocks sum in v order
     for g in _LEVEL_Q_G:
         dec = decompose(g)
         for q in (3, 5, 7, 11, 13):
             for v_max in (1, 2, 100, 5000):
                 want = _level_q_oracle(dec, q, v_max)
-                assert _fresh_accumulators(dec, q, v_max, monkeypatch) == want, (g, q, v_max)
+                assert _fresh_accumulators(dec, q, v_max) == want, (g, q, v_max)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -295,10 +303,10 @@ def test_level_q_small_blocks(monkeypatch, rows):
         for q in (3, 5, 7, 11, 13):
             monkeypatch.setattr(density, "V_CELLS", rows * max(q, 16))
             want = _level_q_oracle(dec, q, 150)
-            assert _fresh_accumulators(dec, q, 150, monkeypatch) == want, (rows, g, q)
+            assert _fresh_accumulators(dec, q, 150) == want, (rows, g, q)
 
 
-def test_level_q_exact_beyond_int64(monkeypatch):
+def test_level_q_exact_beyond_int64():
     # n_1 has 93 to 96 bits here, so the eps and sqrt(q*) keys need Python
     # ints; q | D(g0) for the first two
     big = Fraction(2**61 - 1, 2**31 - 1)
@@ -306,23 +314,61 @@ def test_level_q_exact_beyond_int64(monkeypatch):
         dec = decompose(g)
         assert n_r(dec, 1) >= 1 << 63
         want = _level_q_oracle(dec, q, 3000)
-        assert _fresh_accumulators(dec, q, 3000, monkeypatch) == want, g
+        assert _fresh_accumulators(dec, q, 3000) == want, g
 
 
-def test_level_q_large_modulus(monkeypatch):
+def test_level_q_large_modulus():
     # blocks of 16 values of v against 1009 classes
     for g in (2, -3):
         dec = decompose(g)
         want = _level_q_oracle(dec, 1009, 2000)
-        assert _fresh_accumulators(dec, 1009, 2000, monkeypatch) == want, g
+        assert _fresh_accumulators(dec, 1009, 2000) == want, g
 
 
-def test_level_q_memory_bounded(monkeypatch):
+def test_level_q_second_class_reads_the_cache():
+    # the accumulators hold every class mod q, so a second class sums nothing
+    _level_q_accumulators.cache_clear()
+    dec = decompose(2)
+    cfg = TruncationConfig(v_max=2000)
+    delta_level_q_series(dec, 1, 7, cfg)
+    delta_level_q_series(dec, 2, 7, cfg)
+    info = _level_q_accumulators.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_charform_second_class_reads_the_cache():
+    # at q = 7 and g = 2 the first class builds C_chi(1, 7, 1) and
+    # C_chi(1, 7, 8) for each of the 6 characters, each from one A_chi; the
+    # second class reads every one of them
+    for fn in (a_chi, c_chi):
+        fn.cache_clear()
+    dec = decompose(2)
+    delta_charform(dec, 1, 7, 10**5)
+    first = (a_chi.cache_info().misses, c_chi.cache_info().misses)
+    delta_charform(dec, 2, 7, 10**5)
+    assert first == (6, 12)
+    assert (a_chi.cache_info().misses, c_chi.cache_info().misses) == first
+    assert c_chi.cache_info().hits == 12
+
+
+@pytest.mark.parametrize("d", [9, 25, 27, 49, 81, 121, 125, 243])
+def test_prime_power_zero_class_is_exact(d):
+    # the value is the rescaled rational rounded once: rescaling the float
+    # of delta_g(0, q) rounds twice, and at d = 25 and 49 missed float(exact)
+    q, s = odd_prime_power(d)
+    for g in (2, 3, -3, 5, Fraction(1, 2)):
+        want = delta_g_zero_class(decompose(g), q).exact / q ** (s - 1)
+        for a in (0, q):
+            got = evaluate_density(g, a, d)
+            assert got.exact == want and got.value == float(want), (g, a)
+
+
+def test_level_q_memory_bounded():
     # whole-range lists of spf and phi at v_max = 1e6 would take tens of MB;
     # the blocks keep the peak of the Python heap under 4 MB (q = 13 fills
     # more cells per block than q = 3)
     tables(10**6)
-    monkeypatch.setattr(density, "_level_q_cache", {})
+    _level_q_accumulators.cache_clear()
     tracemalloc.start()
     try:
         _level_q_accumulators(decompose(2), 13, 10**6)

@@ -1,4 +1,4 @@
-"""Every import in the package's modules is used."""
+"""Every import in the package's modules is used, and caches memoise by argument."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,29 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _module_caches(source: str) -> set[str]:
+    """Names ending in _cache assigned at a module's top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_cache"))
+    return names
+
+
+def test_module_cache_is_caught():
+    source = "_a_cache = {}\nb = {}\n_c_cache: dict = {}\ndef f():\n    _d_cache = {}\n"
+    assert _module_caches(source) == {"_a_cache", "_c_cache"}
+
+
+def test_hand_rolled_caches_are_the_grow_only_and_one_entry_ones():
+    # any other cache is functools.lru_cache on the function it memoises, so
+    # its key is the call's arguments and it reports cache_info()
+    found = {f"{p.stem}.{n}" for p in SRC.glob("*.py") for n in _module_caches(p.read_text())}
+    assert found == {"sieve._prime_cache", "sieve._table_cache", "empirical._factored_cache"}
