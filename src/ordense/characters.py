@@ -77,6 +77,7 @@ __all__ = [
     "CharacterGroup",
     "character_group",
     "EulerProductValue",
+    "check_prime_cutoff",
     "h_chi",
     "a_chi",
     "c_chi",
@@ -101,7 +102,6 @@ class EulerProductValue:
 
     value: complex
     tail_bound: float
-    prime_cutoff: int
 
     def __post_init__(self):
         if self.tail_bound < 0 or not cmath.isfinite(self.value):
@@ -321,9 +321,7 @@ def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def a_chi(
-    chi: DirichletCharacter, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-) -> EulerProductValue:
+def a_chi(chi: DirichletCharacter, prime_cutoff: int) -> EulerProductValue:
     """Partial product for A_chi over primes <= prime_cutoff.
 
     Exact factors at the primes up to P0 = 1000, times exp of the generic
@@ -333,7 +331,7 @@ def a_chi(
     """
     check_prime_cutoff(prime_cutoff)
     if chi.is_principal:
-        return EulerProductValue(1 + 0j, 0.0, prime_cutoff)
+        return EulerProductValue(1 + 0j, 0.0)
     table = chi.value_table()
     # chi(p) = 0 exactly at p = q, the prime of the modulus q^s, so q is
     # left out of the exact product and its weight out of the generic sum
@@ -351,7 +349,7 @@ def a_chi(
         sums = _class_sums(chi.modulus, prime_cutoff)
         log = complex(generic) + complex(table @ sums[0]) + complex((table * table) @ sums[1])
         value *= cmath.exp(log)
-    return EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
+    return EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff))
 
 
 def _local_factor(chi: DirichletCharacter, p: int, alpha: int, nu: int) -> complex:
@@ -379,13 +377,7 @@ def _local_factor(chi: DirichletCharacter, p: int, alpha: int, nu: int) -> compl
 
 
 @lru_cache(maxsize=None)
-def c_chi(
-    chi: DirichletCharacter,
-    h: int,
-    r: int,
-    s: int,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-) -> EulerProductValue:
+def c_chi(chi: DirichletCharacter, h: int, r: int, s: int, prime_cutoff: int) -> EulerProductValue:
     """Partial Euler product for C_chi(h, r, s) with a rigorous tail bound.
 
     Invariant under the sign of s (|s| is used; a negative s is memoised
@@ -403,7 +395,7 @@ def c_chi(
     check_prime_cutoff(prime_cutoff)
     s = abs(s)
     if math.gcd(r, s) > 1:
-        return EulerProductValue(0j, 0.0, prime_cutoff)
+        return EulerProductValue(0j, 0.0)
     corrected = {*factorize(h).primes, *factorize(r).primes, *factorize(s).primes}
     value = a_chi(chi, prime_cutoff).value
     for p in sorted(corrected | {chi._group.prime}):
@@ -412,7 +404,7 @@ def c_chi(
             value /= _generic_factor(float(p), c)
         if r % p:
             value *= _local_factor(chi, p, valuation(p, s), valuation(p, h))
-    return EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff), prime_cutoff)
+    return EulerProductValue(value, abs(value) * _tail_factor(prime_cutoff))
 
 
 def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
@@ -425,4 +417,4 @@ def artin_constant(prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValu
         value *= math.exp(_generic_log(prime_cutoff))
     # |factor - 1| = 1/(p(p-1)) <= 1.02/p^2 here, same tail shape as a_chi
     tail = abs(value) * _tail_factor(prime_cutoff, 2.6)
-    return EulerProductValue(value, tail, prime_cutoff)
+    return EulerProductValue(value, tail)

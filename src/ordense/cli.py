@@ -2,8 +2,8 @@
 
 Subcommands expose every evaluator plus the empirical harness:
 
-    density    --g <rat> --a <int> --d <int> [--method ...] [truncations]
-    verify     --g <rat> --d <int> --x <int> [--d1 <int>]
+    density    --g <rat> --a <int> --d <int> [--method ...] [--tmax/--nmax/--vmax/--pmax]
+    verify     --g <rat> --d <int> --x <int> [--d1 <int>] [--tmax/--nmax/--pmax]
     degree     --g <rat> --kr <int> --k <int>
     decompose  --g <rat>
     cg         --g <rat> --b <int> --f <int> --v <int>
@@ -122,8 +122,7 @@ def _cmd_verify(args, cfg) -> dict:
     check_x(args.x)
     if args.d1 is None:
         analytic = {a: evaluate_density(g, a, args.d, "auto", cfg) for a in range(args.d)}
-        report = compare(g, args.d, args.x, analytic)
-        return report.to_dict()
+        return compare(g, args.d, args.x, analytic)
     table = count_joint(g, args.d1, args.d, args.x)
     considered = table.require_primes()
     dec = decompose(g)
@@ -240,7 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--d1", type=int, default=None)
-    _add_truncation(p)
+    # no route verify predicts with reads v_max
+    _add_truncation(p, ("tmax", "nmax", "pmax"))
 
     p = sub.add_parser("degree", help="[Q(zeta_kr, g^(1/k)) : Q]")
     p.add_argument("--g", required=True)
@@ -266,11 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _add_truncation(p) -> None:
-    p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--vmax", type=int, default=None)
-    p.add_argument("--pmax", type=int, default=None)
+def _add_truncation(p, flags=("tmax", "nmax", "vmax", "pmax")) -> None:
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=int, default=None)
 
 
 def _config_from(args) -> TruncationConfig:

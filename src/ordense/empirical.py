@@ -44,7 +44,7 @@ and take the primes dividing g from the kernel, which drops them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -56,7 +56,7 @@ from .sieve import primes_upto, sieve_primes
 __all__ = [
     "OrderRecord",
     "CountTable",
-    "CompareReport",
+    "check_x",
     "sieve_orders",
     "count_residues",
     "count_joint",
@@ -95,8 +95,6 @@ class CountTable:
 
     g: Fraction
     x: int
-    d: int
-    d1: int | None
     counts: dict
     primes_considered: int
     excluded: int
@@ -340,9 +338,7 @@ def count_residues(g: Fraction | int, d: int, x: int) -> CountTable:
         raise ValueError("d must be positive")
     g = _check_g(g)
     counts, excluded = _count(g, x, 1, d)
-    return CountTable(
-        g, x, d, None, {a: c for (_, a), c in counts.items()}, sum(counts.values()), excluded
-    )
+    return CountTable(g, x, {a: c for (_, a), c in counts.items()}, sum(counts.values()), excluded)
 
 
 def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
@@ -355,7 +351,7 @@ def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
         raise ValueError("moduli must be positive")
     g = _check_g(g)
     counts, excluded = _count(g, x, d1, d2)
-    return CountTable(g, x, d2, d1, counts, sum(counts.values()), excluded)
+    return CountTable(g, x, counts, sum(counts.values()), excluded)
 
 
 def _count(g: Fraction, x: int, d1: int, d2: int):
@@ -377,44 +373,7 @@ def _count(g: Fraction, x: int, d1: int, d2: int):
     return counts, excluded
 
 
-@dataclass
-class CompareReport:
-    """Per-class empirical frequencies against analytic predictions."""
-
-    g: Fraction
-    d: int
-    x: int
-    primes_considered: int
-    tolerance: float
-    rows: list = field(default_factory=list)  # (a, count, freq, predicted, deviation, ok)
-
-    @property
-    def ok(self) -> bool:
-        return all(r[5] for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "g": str(self.g),
-            "d": self.d,
-            "x": self.x,
-            "primes_considered": self.primes_considered,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-            "classes": [
-                {
-                    "a": a,
-                    "count": c,
-                    "frequency": f,
-                    "predicted": p,
-                    "deviation": dev,
-                    "ok": okk,
-                }
-                for a, c, f, p, dev, okk in self.rows
-            ],
-        }
-
-
-def compare(g: Fraction | int, d: int, x: int, analytic) -> CompareReport:
+def compare(g: Fraction | int, d: int, x: int, analytic) -> dict:
     """Count ord classes mod d up to x and compare with analytic densities.
 
     analytic maps class -> predicted density (a dict, or a sequence indexed
@@ -423,6 +382,11 @@ def compare(g: Fraction | int, d: int, x: int, analytic) -> CompareReport:
     max(0.002, 3/sqrt(primes_considered)).  Raises ValueError, before
     counting, when a class mod d has no prediction, and after counting when
     no prime p <= x has nu_p(g) = 0.
+
+    Returns the report as a dict with the keys g (a string), d, x,
+    primes_considered, tolerance, ok (every class passes) and classes: one
+    dict per class a = 0 .. d - 1 with the keys a, count, frequency,
+    predicted, deviation and ok.
     """
     if not isinstance(analytic, dict):
         analytic = dict(enumerate(analytic))
@@ -432,13 +396,24 @@ def compare(g: Fraction | int, d: int, x: int, analytic) -> CompareReport:
     table = count_residues(g, d, x)
     considered = table.require_primes()
     tol = max(0.002, 3.0 / math.sqrt(considered))
-    report = CompareReport(table.g, d, x, considered, tol)
+    classes = []
     for a in range(d):
         pred = getattr(analytic[a], "value", analytic[a])
+        count = table.counts.get(a, 0)
         freq = table.frequency(a)
         dev = abs(freq - pred)
-        report.rows.append((a, table.counts.get(a, 0), freq, pred, dev, dev <= tol))
-    return report
+        classes.append(
+            dict(a=a, count=count, frequency=freq, predicted=pred, deviation=dev, ok=dev <= tol)
+        )
+    return {
+        "g": str(table.g),
+        "d": d,
+        "x": x,
+        "primes_considered": considered,
+        "tolerance": tol,
+        "ok": all(c["ok"] for c in classes),
+        "classes": classes,
+    }
 
 
 def census_exceptional(q: int, x: int) -> int:

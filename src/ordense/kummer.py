@@ -35,7 +35,15 @@ import numpy as np
 from .arith import euler_phi, factorize, is_prime, kronecker, nu2
 from .decomp import GDecomposition, n_r
 
-__all__ = ["UNSUPPORTED", "kummer_degree", "kummer_degrees", "entanglement_coefficient"]
+__all__ = [
+    "UNSUPPORTED",
+    "kummer_degree",
+    "kummer_degrees",
+    "intersection_degree",
+    "sqrt_qstar_in_kvv",
+    "entanglement_coefficient",
+    "coefficient_table",
+]
 
 
 class _Unsupported:

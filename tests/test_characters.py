@@ -442,9 +442,9 @@ def test_euler_product_value_validation():
     from ordense.characters import EulerProductValue
 
     with pytest.raises(ValueError):
-        EulerProductValue(1 + 0j, -1.0, 100)
+        EulerProductValue(1 + 0j, -1.0)
     with pytest.raises(ValueError):
-        EulerProductValue(complex("inf"), 0.0, 100)
+        EulerProductValue(complex("inf"), 0.0)
 
 
 def test_prime_cutoff_range_checked_before_sieving(monkeypatch):

@@ -192,6 +192,18 @@ def test_format_bytes_pinned():
         "classes.0.p_class = 0\nclasses.0.ord_class = 2\nclasses.0.count = 1\n"
         "classes.0.frequency = 0.14285714285714285\nclasses.1.p_class = 1\n"
     )
+    # the plain verify report, key order and float digits included
+    _, out, _ = _run(["verify", "--g", "2", "--d", "3", "--x", "20000", "--pmax", "100000"])
+    assert out == (
+        '{"schema":1,"g":"2","d":3,"x":20000,"primes_considered":2261,'
+        '"tolerance":0.063091517530130425,"ok":true,"classes":['
+        '{"a":0,"count":845,"frequency":0.37372843874391865,"predicted":0.375,'
+        '"deviation":0.001271561256081355,"ok":true},'
+        '{"a":1,"count":787,"frequency":0.34807607253427686,"predicted":0.345120736683172,'
+        '"deviation":0.0029553358511048566,"ok":true},'
+        '{"a":2,"count":629,"frequency":0.2781954887218045,"predicted":0.279879263316828,'
+        '"deviation":0.0016837745950235017,"ok":true}]}\n'
+    )
 
 
 def test_verify_rejects_oversized_g_before_sieving(monkeypatch):
@@ -265,10 +277,12 @@ def test_zero_truncation_flags_rejected(monkeypatch):
         [*series6, "--tmax", "10000001"],
         [*series6, "--nmax", "10000001"],
         [*series3, "--vmax", "100000000"],
-        ["verify", "--g", "2", "--d", "3", "--x", "1000", "--vmax", "10000001"],
     ):
         code, _, err = _run(argv)
         assert code == 2 and "<= 1e" in err, argv
+    # no route verify predicts with reads v_max, so verify has no --vmax
+    code, _, err = _run(["verify", "--g", "2", "--d", "3", "--x", "1000", "--vmax", "10000001"])
+    assert code == 2 and "unrecognized arguments: --vmax" in err
     TruncationConfig(t_max=10**7, n_max=10**7, v_max=10**7, prime_cutoff=10**8)
 
 

@@ -581,16 +581,15 @@ def test_compare_self_is_exact():
     tab = count_residues(2, 3, 10_000)
     freqs = {a: tab.counts[a] / tab.primes_considered for a in range(3)}
     rep = compare(2, 3, 10_000, freqs)
-    assert rep.ok
-    assert all(row[4] == 0 for row in rep.rows)
+    assert rep["ok"]
+    assert all(row["deviation"] == 0 for row in rep["classes"])
 
 
 def test_compare_flags_bad_prediction():
     rep = compare(2, 3, 10_000, {0: 0.9, 1: 0.05, 2: 0.05})
-    assert not rep.ok
-    d = rep.to_dict()
-    assert d["classes"][0]["predicted"] == 0.9
-    assert not d["classes"][0]["ok"]
+    assert not rep["ok"]
+    assert rep["classes"][0]["predicted"] == 0.9
+    assert not rep["classes"][0]["ok"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Every import in the package's modules is used, and caches memoise by argument."""
+"""Every import in the package's modules is used, caches memoise by argument,
+and each module's __all__ lists exactly its public names."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,41 @@ def test_hand_rolled_caches_are_the_grow_only_and_one_entry_ones():
     # its key is the call's arguments and it reports cache_info()
     found = {f"{p.stem}.{n}" for p in SRC.glob("*.py") for n in _module_caches(p.read_text())}
     assert found == {"sieve._prime_cache", "sieve._table_cache", "empirical._factored_cache"}
+
+
+def _all_problems(source: str) -> tuple[list[str], list[str]]:
+    """(names in __all__ not defined at top level, public top-level
+    functions and classes missing from __all__)."""
+    tree = ast.parse(source)
+    defined, public, exported = set(), set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - defined), sorted(public - set(exported))
+
+
+def test_all_problems_are_caught():
+    source = (
+        '__all__ = ["f", "Gone", "K"]\nK = 1\n'
+        "def f():\n    pass\nclass C:\n    pass\ndef _private():\n    pass\n"
+    )
+    assert _all_problems(source) == (["Gone"], ["C"])
+
+
+# the CLI is an entry point, not a library module: it exports nothing
+API_MODULES = [p for p in MODULES if p.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", API_MODULES, ids=lambda p: p.name)
+def test_all_is_complete(path):
+    # every name in __all__ is defined in the module, and every public
+    # function or class is listed in it
+    assert _all_problems(path.read_text()) == ([], []), path.name
