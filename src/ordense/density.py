@@ -27,17 +27,17 @@ coefficients cannot be decided; the full series then returns an interval
 [lo, hi] instead of a point value, never a guess.
 
 The series read their spf/phi/mu tables from ordense.sieve.tables, and
-their Kummer degrees, the sqrt(q*) condition and the coefficients c_g from
-ordense.kummer.  Both series are numpy arrays over bounded blocks: the
-(t, n) double series sums BLOCK pairs at a time, the level-q v-series a
-block of v with at most V_CELLS (v, class) cells.  Each block takes its
-degrees from the array kernel kummer_degrees and its sqrt(q*) condition
-from the same predicate the scalar c_g reads; the double series takes c_g
+their Kummer degrees and the coefficients c_g from ordense.kummer.  Both
+series are numpy arrays over bounded blocks: the (t, n) double series sums
+BLOCK pairs at a time, the level-q v-series a block of v with at most
+V_CELLS (v, class) cells.  Each block takes its degrees from the array
+kernel kummer_degrees.  The level-q block also reads sqrt(q*) in K(v, v)
+from them, as 2[K(qv,v):Q] = (q-1)[K(v,v):Q]; the double series takes c_g
 from one kummer.coefficient_table per call, which decides what c_g reads.
-Their integer arrays are int64 whenever the series' own degree numerators
-fit: kummer reads n_r from ordense.decomp and skips any modulus too large
-to divide.  Each series adds its terms in the order of the scalar loop it
-replaced, so its sums are bit-identical to that loop's.
+Their integer arrays are int64 whenever the integers each series forms fit
+(below 4q v_max^2 at level q): kummer reads n_r from ordense.decomp and
+skips any modulus too large to divide.  Each series adds its terms in the
+order of the scalar loop it replaced, so its sums are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .characters import (
     check_prime_cutoff,
 )
 from .decomp import GDecomposition, decompose, n_r
-from .kummer import coefficient_table, kummer_degree, kummer_degrees, sqrt_qstar_in_kvv
+from .kummer import coefficient_table, kummer_degree, kummer_degrees
 from .sieve import tables
 
 __all__ = [
@@ -241,21 +241,24 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     For every class r mod q these accumulate, over v <= v_max coprime to q,
     the Moebius-weighted divisor counts M_r(v) = sum_{t|v, t=r (q)} mu(v/t)
     against the weight 1/[K(qv,v):Q] (acc1), and against the same weight
-    restricted to v with sqrt(q*) in K(v,v) (acc2).
+    restricted to v with sqrt(q*) in K(v,v) (acc2): the v where
+    2[K(qv,v):Q] = (q-1)[K(v,v):Q], which needs q | D(g0).
 
     The v run in blocks of at most V_CELLS // max(q, 16) values, so a
     block's (v, class) matrix has at most V_CELLS cells (q cells when q
-    exceeds V_CELLS).  The sums are exactly the scalar loop
-    over v in increasing order: M is an exact integer matrix, each
-    M_r(v) * w(v) is the one float product the loop forms, and a column
-    cumsum seeded with the running sums adds the products left to right;
-    a class with M_r(v) = 0 or a v outside the sqrt(q*) support adds a
-    signed 0.0, which leaves a running sum unchanged.  The integers are
-    int64 when the degree numerators 2(q-1)phi(v)v < 2q v_max^2 fit, else
-    Python ints.  Memoised per (dec, q, v_max); callers only read the lists.
+    exceeds V_CELLS).  The sums are exactly the scalar loop over v in
+    increasing order: M is an exact integer matrix, each M_r(v) * w(v) is
+    the one float product the loop forms, and a column cumsum seeded with
+    the running sums adds the products left to right; a class with
+    M_r(v) = 0 or a v outside the sqrt(q*) support adds a signed 0.0, which
+    leaves a running sum unchanged.  The integers are int64 when the degree
+    numerators 2(q-1)phi(v)v and the doubled degrees 2[K(qv,v):Q], all
+    below 4q v_max^2, fit, else Python ints.  Memoised per (dec, q, v_max);
+    callers only read the lists.
     """
     spf, phi, _ = tables(v_max)
-    dt = _int_dtype(2 * q * v_max**2)
+    dt = _int_dtype(4 * q * v_max**2)
+    qdiv = dec.disc_g0 % q == 0
     acc1 = np.zeros(q)
     acc2 = np.zeros(q)
     block = max(1, V_CELLS // max(q, 16))
@@ -263,9 +266,11 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         vs = np.arange(v0, min(v0 + block, v_max + 1))
         vs = vs[vs % q != 0]
         v = vs.astype(dt)
-        deg = kummer_degrees(dec, q * v, v, (q - 1) * phi[vs].astype(dt))
+        phi_v = phi[vs].astype(dt)
+        deg = kummer_degrees(dec, q * v, v, (q - 1) * phi_v)
         w1 = np.asarray(1.0 / deg, dtype=np.float64)
-        w2 = np.where(sqrt_qstar_in_kvv(dec, q, v), w1, 0.0)
+        has = qdiv and 2 * deg == (q - 1) * kummer_degrees(dec, v, v, phi_v)
+        w2 = np.where(has, w1, 0.0)
         counts = _class_counts(vs, q, spf)
         acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
         acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
@@ -410,10 +415,8 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
     g1 = np.gcd(n, d)
     keep = (mun != 0) & (a % g1 == 0)
     n, g1, mun = n[keep], g1[keep], mun[keep]
-    divs, inverse = np.unique(g1, return_inverse=True)
-    phig1 = np.array([euler_phi(int(x)) for x in divs], dtype=dt)[inverse]
     ell = d * n // g1
-    phil = euler_phi(d) * phi[n.astype(np.intp)] // phig1
+    phil = euler_phi(d) * phi[n.astype(np.intp)] // phi[g1.astype(np.intp)]
     t = np.arange(1, cfg.t_max + 1).astype(dt)
     t = t[np.gcd(1 + t * a, d) == 1]
     phit = phi[t.astype(np.intp)]

@@ -21,9 +21,9 @@ q* = (-1|q) * q, and the action of b on it is the Kronecker symbol
 (q*|b).  For other f the quadratic generator is not identified here and
 UNSUPPORTED is returned instead of a guess.
 
-Every decision about which inputs c_g reads lives here: sqrt_qstar_in_kvv
-takes an int or an integer array v, and coefficient_table derives K_f for
-the double series and calls entanglement_coefficient once per reduced key.
+Every decision about which inputs c_g reads lives here: eps alone decides
+whether sqrt(q*) lies in K(v, v), and coefficient_table derives K_f for the
+double series and calls entanglement_coefficient once per reduced key.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, kronecker, nu2
+from .arith import euler_phi, factorize, kronecker, nu2
 from .decomp import GDecomposition, n_r
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "kummer_degree",
     "kummer_degrees",
     "intersection_degree",
-    "sqrt_qstar_in_kvv",
     "entanglement_coefficient",
     "coefficient_table",
 ]
@@ -122,33 +121,15 @@ def kummer_degrees(
 
 
 def intersection_degree(dec: GDecomposition, f: int, v: int) -> int:
-    """[Q(zeta_f) ∩ K(v,v) : Q(zeta_gcd(f,v))] = eps(lcm(f,v), v) / eps(v, v) in {1, 2}."""
+    """[Q(zeta_f) ∩ K(v,v) : Q(zeta_gcd(f,v))] = eps(lcm(f,v), v) / eps(v, v) in {1, 2}.
+
+    At an odd prime f = q not dividing v, 2 means Q(zeta_q) ∩ K(v,v) = Q(sqrt(q*)).
+    """
     if f < 1 or v < 1:
         raise ValueError("f and v must be positive")
     quot, rem = divmod(_eps2(dec, math.lcm(f, v), v), _eps2(dec, v, v))
     assert not rem and quot in (1, 2), f"intersection degree outside {{1,2}} at f={f}, v={v}"
     return quot
-
-
-def sqrt_qstar_in_kvv(dec: GDecomposition, q: int, v):
-    """Whether Q(zeta_q) ∩ K(v, v) is Q(sqrt(q*)) rather than Q, for an int or an integer array v.
-
-    Requires q an odd prime dividing no entry of v.  True exactly where q
-    divides D(g0), (n_1 / q) divides v, and (for negative g with v even)
-    2^(nu2(h)+1) divides v.  An array v gives a bool array of its shape; it
-    may be int64 for any g, since an n_1 / q above every entry divides none.
-    """
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    if np.any(v < 1) or np.any(v % q == 0):
-        raise ValueError(f"need every v positive and coprime to q = {q}")
-    n = n_r(dec, 1) // q  # q | D(g0) puts q in n_1
-    if dec.disc_g0 % q != 0 or n > int(np.max(v, initial=0)):
-        return np.zeros_like(v, dtype=bool)
-    has = v % n == 0
-    if dec.sign < 0:
-        has &= (v % 2 == 1) | (v % dec.hc2 == 0)
-    return has
 
 
 def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
@@ -180,7 +161,7 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
     candidates = [
         q
         for q, _ in factorize(shared)
-        if q != 2 and v % q != 0 and sqrt_qstar_in_kvv(dec, q, v)
+        if q != 2 and v % q != 0 and intersection_degree(dec, q, v) == 2
     ]
     if not candidates:
         return UNSUPPORTED
@@ -199,7 +180,7 @@ def coefficient_table(dec: GDecomposition, b: np.ndarray, f: np.ndarray):
 
     entanglement_coefficient reads v only through divisibility by divisors
     of K_f = lcm(f, m, D(g0), 2^(nu2(h)+nu2(f)+1)): gcd(f, v), n_r(r) for
-    r | f, n_1 / q and hc2.  It reads b only mod f: (q*|b) has period q,
+    r | f and hc2, and n_1 / q through eps(qv, v).  It reads b only mod f: (q*|b) has period q,
     which divides f.  So the table keeps one id per distinct (f, b mod f)
     and one memo for its lifetime, and calls the scalar once per distinct
     (b mod f, f, gcd(v, K_f)), at those arguments.  Its keys are int64 when

@@ -33,12 +33,13 @@ from ordense.density import (
     delta_prime_power,
     evaluate_density,
 )
+from ordense.empirical import compare
 from ordense.kummer import (
     UNSUPPORTED,
     _eps2,
     entanglement_coefficient,
+    intersection_degree,
     kummer_degree,
-    sqrt_qstar_in_kvv,
 )
 from ordense.sieve import tables
 
@@ -569,7 +570,7 @@ def test_example_stratum_series_oracle():
             for v in range(1, vmax + 1):
                 if v % 3 == 0:
                     continue
-                if dec.disc_g0 % 3 == 0 and sqrt_qstar_in_kvv(dec, 3, v):
+                if intersection_degree(dec, 3, v) == 2:
                     continue
                 inner = sum(
                     moebius(v // t) for t in range(1, v + 1) if v % t == 0 and t % 3 == a
@@ -760,3 +761,21 @@ def test_negative_even_exponent_flagged():
 def test_spec_and_config_types():
     with pytest.raises(ValueError):
         TruncationConfig(t_max=0)
+
+
+def test_composite_modulus_brackets_hold_the_sieve():
+    # the honesty of the brackets, not their midpoints, which can lie far
+    # outside the tolerance: every class's [lo - tol, hi + tol] (a point
+    # result's [value - tol, value + tol]) holds the frequency sieved to 1e6,
+    # with tol the tolerance of compare
+    cfg = TruncationConfig(t_max=300, n_max=300)
+    for g in (2, -2, 3, -3, -4, 12, Fraction(1, 2), 9):
+        dec = decompose(g)
+        for d in (4, 6, 8, 12):
+            vals = [delta_general_series(dec, a, d, cfg)[1] for a in range(d)]
+            rep = compare(g, d, 10**6, vals)
+            tol = rep["tolerance"]
+            for val, row in zip(vals, rep["classes"]):
+                lo = val.value if val.lo is None else val.lo
+                hi = val.value if val.hi is None else val.hi
+                assert lo - tol <= row["frequency"] <= hi + tol, (g, d, row["a"])

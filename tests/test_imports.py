@@ -1,5 +1,6 @@
-"""Every import in the package's modules is used, caches memoise by argument,
-and each module's __all__ lists exactly its public names."""
+"""Every import in the package's modules is used, none reaches another
+module's underscore name, caches memoise by argument, and each module's
+__all__ lists exactly its public names."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,32 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore names imported from a module of the package."""
+    return sorted(
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ordense")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+def test_private_import_is_caught():
+    source = (
+        "from __future__ import annotations\nfrom numpy import _z\n"
+        "from .arith import _x, nu2\nfrom ordense.sieve import _t as t\n"
+    )
+    assert _private_imports(source) == ["_t", "_x"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    # each fact stays behind its owner's public name
+    assert _private_imports(path.read_text()) == [], path.name
 
 
 def _module_caches(source: str) -> set[str]:

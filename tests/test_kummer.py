@@ -14,7 +14,6 @@ from ordense.kummer import (
     intersection_degree,
     kummer_degree,
     kummer_degrees,
-    sqrt_qstar_in_kvv,
 )
 from ordense.sieve import primes_upto
 
@@ -148,25 +147,21 @@ def test_intersection_degree_in_range_panel():
 
 
 def test_sqrt_qstar_examples():
+    # at an odd prime q not dividing v, degree 2 means sqrt(q*) lies in K(v, v)
     d5 = decompose(5)
-    assert sqrt_qstar_in_kvv(d5, 5, 2)  # K(2,2) = Q(sqrt 5)
+    assert intersection_degree(d5, 5, 2) == 2  # K(2,2) = Q(sqrt 5)
     d2 = decompose(2)
     for v in (1, 2, 3, 4, 6, 8):
-        assert not sqrt_qstar_in_kvv(d2, 5, v)  # 5 does not divide D(2) = 8
-    with pytest.raises(ValueError):
-        sqrt_qstar_in_kvv(d5, 5, 10)  # q | v
-    with pytest.raises(ValueError):
-        sqrt_qstar_in_kvv(d5, 9, 2)
+        assert intersection_degree(d2, 5, v) == 1  # 5 does not divide D(2) = 8
 
 
 def test_sqrt_qstar_negative_g_condition():
     dm4 = decompose(-4)  # h = 2, threshold 4; D(g0) = 8, no odd prime
-    assert not sqrt_qstar_in_kvv(dm4, 3, 2)
-    dm12 = decompose(-12)  # g0 = 12? no: 12 not a power; g0 = 12, D = 12? kernel 3 -> D = 12... odd prime 3
-    # pick g = -3: D(g0) = 12, n1 = m = 6, n1/3 = 2
+    assert intersection_degree(dm4, 3, 2) == 1
+    # g = -3: D(g0) = 12, n1 = m = 6, n1/3 = 2
     dm3 = decompose(-3)
-    assert sqrt_qstar_in_kvv(dm3, 3, 2)  # 2 | v even, hc2 = 2 | v holds
-    assert not sqrt_qstar_in_kvv(dm3, 3, 1)  # n1/q = 2 does not divide 1
+    assert intersection_degree(dm3, 3, 2) == 2  # 2 | v even, hc2 = 2 | v holds
+    assert intersection_degree(dm3, 3, 1) == 1  # n1/q = 2 does not divide 1
 
 
 def test_cg_examples():
@@ -325,24 +320,32 @@ def test_coefficient_table_matches_scalar(dtype):
     assert seen == {-1, 0, 1}
 
 
+def _degree_ratio(dec, q, v, phi_v):
+    """(q-1)[K(v,v):Q] / [K(qv,v):Q] from the array kernel, for q prime to v."""
+    num = (q - 1) * kummer_degrees(dec, v, v, phi_v)
+    den = kummer_degrees(dec, q * v, v, (q - 1) * phi_v)
+    assert (num % den == 0).all()
+    return num // den
+
+
 def test_sqrt_qstar_array_matches_scalar():
+    # 2[K(qv,v):Q] = (q-1)[K(v,v):Q], as the level-q series reads sqrt(q*)
+    # in K(v, v), exactly where the scalar intersection degree is 2
     for g in G_PANEL + [BIG, -BIG]:
         dec = decompose(g)
         for q in (3, 5, 7, 13):
             v = np.array([x for x in range(1, 400) if x % q])
-            want = [bool(sqrt_qstar_in_kvv(dec, q, x)) for x in v.tolist()]
-            for arr in (v, v.astype(object)):
-                got = sqrt_qstar_in_kvv(dec, q, arr)
-                assert got.dtype == bool and got.tolist() == want, (g, q)
-    # 3 | D(g0), which has 96 bits: Python ints, with n_1 / 3 | v reached
+            phi_v = np.array([euler_phi(x) for x in v.tolist()])
+            want = [intersection_degree(dec, q, x) for x in v.tolist()]
+            for dt in (np.int64, object):
+                got = _degree_ratio(dec, q, v.astype(dt), phi_v.astype(dt))
+                assert got.tolist() == want, (g, q, dt)
+    # 3 | D(g0), which has 96 bits, with n_1 / 3 | v reached: phi of a
+    # 95-bit v is out of reach, so the scalar alone
     dec = decompose(3 * BIG)
     w = n_r(dec, 1) // 3
-    v = np.array([1, 2, 4, w, 2 * w, 4 * w, 5 * w], dtype=object)
-    want = [bool(sqrt_qstar_in_kvv(dec, 3, x)) for x in v.tolist()]
-    assert want == [False] * 3 + [True] * 4
-    assert sqrt_qstar_in_kvv(dec, 3, v).tolist() == want
-    with pytest.raises(ValueError):
-        sqrt_qstar_in_kvv(decompose(5), 5, np.array([2, 10]))
+    v = [1, 2, 4, w, 2 * w, 4 * w, 5 * w]
+    assert [intersection_degree(dec, 3, x) == 2 for x in v] == [False] * 3 + [True] * 4
 
 
 def test_kernels_take_int64_for_any_n1():
@@ -359,5 +362,6 @@ def test_kernels_take_int64_for_any_n1():
         got = kummer_degrees(dec, kr, k, phi)
         assert got.dtype == np.int64, g
         assert got.tolist() == [kummer_degree(dec, x, y) for x, y in pairs], g
-        want = [bool(sqrt_qstar_in_kvv(dec, 3, x)) for x in v.tolist()]
-        assert sqrt_qstar_in_kvv(dec, 3, v).tolist() == want, g
+        ratio = _degree_ratio(dec, 3, v, np.array([euler_phi(x) for x in v.tolist()]))
+        assert ratio.dtype == np.int64, g
+        assert ratio.tolist() == [intersection_degree(dec, 3, x) for x in v.tolist()], g
