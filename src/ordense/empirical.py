@@ -32,8 +32,12 @@ the primes' number of factors.  It reduces g mod p once (inverting a
 denominator by Fermat) and tables g^0 .. g^7 mod p per prime; then each
 round of stripping takes one left-to-right power with 3-bit windows
 (WINDOW) for every (p, l) pair still being stripped, reading its prime's
-table row.  Every residue is below 2^30, so products stay below 2^60 and
-the int64 arithmetic is exact.  sieve_orders reads exact orders from it.
+table row.  A block keeps its residues in float64 when its largest prime
+is below 2^26, and in int64 otherwise; both are exact (see _mulmod).  A
+float64 product stays below 2^52, within the 53-bit significand, and its
+rounded quotient by p has the true floor; an int64 product stays below
+2^60, since every residue is below 2^30.  sieve_orders reads exact orders
+from it.
 count_residues and count_joint need the order only mod d, and a factor
 l = 1 (mod d) of p - 1 changes it only by powers of l, each = 1 (mod d):
 so their kernel strips only the pairs with l != 1 (mod d), and returns
@@ -78,6 +82,10 @@ _BITS = 30
 _MASK = (1 << _BITS) - 1
 # residues mod p <= X_LIMIT fit in 30 bits, so their products stay below 2^60 in int64
 assert X_LIMIT < 1 << _BITS
+# a kernel block whose primes are below 2^_FLOAT_BITS keeps its residues in
+# float64: their products fit the 53-bit significand exactly (see _mulmod)
+_FLOAT_BITS = 26
+assert 2 * _FLOAT_BITS <= np.finfo(np.float64).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -259,18 +267,22 @@ def _block_orders(
     below the default m = 2^30, so there every pair strips and the result is
     ord_p(g).
     """
+    # residues, and the moduli they are taken by, share one dtype; the
+    # primes are sorted, so p[-1] is the largest
+    dtype = np.float64 if p[-1] < 1 << _FLOAT_BITS else np.int64
+    mod = p.astype(dtype, copy=False)
     # a prime dividing g leaves gm = 0, which never strips; it is dropped last
-    gm = _residue(g.numerator, p)
+    gm = _residue(g.numerator, p).astype(dtype, copy=False)
     keep = gm != 0
     rows = np.arange(len(p))
     if g.denominator != 1:
-        dm = _residue(g.denominator, p)
+        dm = _residue(g.denominator, p).astype(dtype, copy=False)
         keep &= dm != 0
-        gm = gm * _powmod(_power_table(dm, p), rows, p - 2, p) % p
-    table = _power_table(gm, p)
+        gm = _mulmod(gm, _powmod(_power_table(dm, mod), rows, p - 2, mod), mod)
+    table = _power_table(gm, mod)
     owner = np.repeat(rows, nfac)
-    pm = p[owner]
-    exp = pm - 1
+    pm = mod[owner]
+    exp = p[owner] - 1
     index = np.ones_like(p)
     act = np.flatnonzero(ells % m != 1 % m)
     while len(act):
@@ -295,21 +307,44 @@ def _residue(n: int, p: np.ndarray) -> np.ndarray:
     return -r % p if n < 0 else r
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise a * b mod mod, for residues 0 <= a, b < mod of one dtype.
+
+    int64 residues are below 2^30, so a * b stays below 2^60.  float64 ones
+    are below 2^_FLOAT_BITS = 2^26: P = a * b < 2^52 is exact, and so is the
+    floor of the rounded P / mod.  The quotient is below 2^26, where rounding
+    moves it by at most 2^-28, and it is either an integer or at least
+    1 / mod > 2^-26 from each integer.  So P - floor(P / mod) * mod is exact
+    and needs no correction.
+    """
+    prod = a * b
+    if prod.dtype != np.float64:
+        return prod % mod
+    # in place on the two fresh temporaries: a fresh array per pass made a
+    # count at x = 1e6 about 8 % slower
+    quot = prod / mod
+    np.floor(quot, out=quot)
+    quot *= mod
+    prod -= quot
+    return prod
+
+
 def _power_table(base: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Rows base^0 .. base^(2^WINDOW - 1) mod mod, one row per element."""
-    table = np.empty((len(base), 1 << WINDOW), dtype=np.int64)
+    """Rows base^0 .. base^(2^WINDOW - 1) mod mod, one row per element, in
+    base's dtype."""
+    table = np.empty((len(base), 1 << WINDOW), dtype=base.dtype)
     table[:, 0] = 1
     table[:, 1] = base
     for k in range(2, 1 << WINDOW):
-        table[:, k] = table[:, k - 1] * base % mod
+        table[:, k] = _mulmod(table[:, k - 1], base, mod)
     return table
 
 
 def _powmod(table: np.ndarray, rows: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise b^exp mod mod, b the base of table[rows], by a left-to-right
     fixed-window power: WINDOW squarings per window of exp, then one multiply
-    by the row's entry for that window's digit.  Entries and results are below
-    mod < 2^30, so every product stays below 2^60."""
+    by the row's entry for that window's digit, each by _mulmod in the
+    table's dtype."""
     flat = table.ravel()
     rows = rows << WINDOW
     digit = (1 << WINDOW) - 1
@@ -322,8 +357,8 @@ def _powmod(table: np.ndarray, rows: np.ndarray, exp: np.ndarray, mod: np.ndarra
     while shift:
         shift -= WINDOW
         for _ in range(WINDOW):
-            result = result * result % mod
-        result = result * flat[rows + (exp >> shift & digit)] % mod
+            result = _mulmod(result, result, mod)
+        result = _mulmod(result, flat[rows + (exp >> shift & digit)], mod)
     return result
 
 

@@ -463,21 +463,76 @@ def test_block_of_p_two_alone(monkeypatch):
         assert recs == list(_scalar_orders(g, 30)), g
 
 
+# the float64 residues' bound, and the largest prime below it
+FLOAT_TOP = 1 << emp._FLOAT_BITS
+FLOAT_TOP_PRIME = 67108859
+
+
 def test_powmod_matches_pow():
+    # int64 residues mod primes near X_LIMIT, and float64 ones mod primes
+    # just below 2^26, up to the largest there
     rng = random.Random(5)
-    mods = sieve.sieve_primes(emp.X_LIMIT, emp.X_LIMIT - 2000)
-    mods = np.concatenate([[2, 3, 5, 7], mods])
-    base = np.array([rng.randrange(int(m)) for m in mods])
-    table = emp._power_table(base, mods)
-    rows = np.arange(len(mods))
-    for exp in ([0] * len(mods), [1] * len(mods), [7, 8, 9, 63, 64, 65] * len(mods)):
-        exp = np.array(exp[: len(mods)])
-        got = emp._powmod(table, rows, exp, mods).tolist()
-        want = [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
-        assert got == want, exp[:6]
-    exp = np.array([rng.randrange(int(m)) for m in mods])
-    got = emp._powmod(table, rows, exp, mods).tolist()
-    assert got == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
+    for top, dtype in ((emp.X_LIMIT, np.int64), (FLOAT_TOP, np.float64)):
+        mods = sieve.sieve_primes(top, top - 2000)
+        assert dtype is np.int64 or mods[-1] == FLOAT_TOP_PRIME
+        mods = np.concatenate([[2, 3, 5, 7], mods]).astype(dtype)
+        base = np.array([rng.randrange(int(m)) for m in mods], dtype=dtype)
+        table = emp._power_table(base, mods)
+        assert table.dtype == dtype
+        rows = np.arange(len(mods))
+        exps = ([0] * len(mods), [1] * len(mods), [7, 8, 9, 63, 64, 65] * len(mods))
+        for exp in exps + ([rng.randrange(int(m)) for m in mods],):
+            exp = np.array(exp[: len(mods)])
+            got = emp._powmod(table, rows, exp, mods)
+            want = [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mods)]
+            assert got.dtype == dtype and got.tolist() == want, (dtype, exp[:6])
+
+
+def test_mulmod_exact_at_float_bound():
+    m = FLOAT_TOP_PRIME
+    assert is_prime(m) and not any(map(is_prime, range(m + 1, FLOAT_TOP)))
+    rng = np.random.default_rng(11)
+    # (m - 1)^2 = 1 (mod m): its quotient lies 1/m below an integer
+    edge = np.array([m - 1, m - 2, 0])
+    a = np.concatenate([np.repeat(edge, 3), rng.integers(0, m, 10**6)])
+    b = np.concatenate([np.tile(edge, 3), rng.integers(0, m, 10**6)])
+    got = emp._mulmod(a.astype(np.float64), b.astype(np.float64), np.full(len(a), float(m)))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, a * b % m)
+
+
+def _factor_lists(p):
+    """The kernel's ells and nfac for the primes p, by trial division."""
+    facs = [factorize(int(q) - 1).primes for q in p]
+    ells = np.array([ell for f in facs for ell in f], dtype=np.int64)
+    return ells, np.array([len(f) for f in facs], dtype=np.int64)
+
+
+def test_block_residue_dtype(monkeypatch):
+    # float64 while a block's largest prime is below 2^26, int64 from there
+    mulmod = emp._mulmod
+    seen = set()
+
+    def traced(a, b, mod):
+        seen.add((a.dtype, b.dtype, mod.dtype))
+        return mulmod(a, b, mod)
+
+    monkeypatch.setattr(emp, "_mulmod", traced)
+    f64, i64 = np.dtype(np.float64), np.dtype(np.int64)
+    for lo, hi, dtype in [
+        (2, 1000, f64),
+        (FLOAT_TOP - 1000, FLOAT_TOP, f64),
+        (FLOAT_TOP - 1000, FLOAT_TOP + 1000, i64),
+        (emp.X_LIMIT - 1000, emp.X_LIMIT, i64),
+    ]:
+        seen.clear()
+        p = sieve.sieve_primes(hi, lo)
+        emp._block_orders(Fraction(9, 2), p, *_factor_lists(p))
+        assert seen == {(dtype,) * 3}, (lo, hi)
+    # every block of a count up to 1e6 runs in float64
+    seen.clear()
+    count_residues(2, 6, 10**6)
+    assert seen == {(f64,) * 3}
 
 
 def _order_by_definition(gm, p):
@@ -491,15 +546,28 @@ def _order_by_definition(gm, p):
     return o
 
 
-@pytest.mark.parametrize("g", [Fraction(2), Fraction(-3), Fraction(9, 2), Fraction(2**70 + 1)])
-def test_kernel_at_top_of_range(g):
-    # primes just below X_LIMIT: residues near 2^30, products near 2^60
-    p = sieve.sieve_primes(emp.X_LIMIT, emp.X_LIMIT - 4400)
+# primes just below X_LIMIT (int64 residues near 2^30, products near 2^60);
+# just below 2^26 (float64 residues at their bound, products near 2^52); and
+# straddling 2^26, which runs in int64
+TOP_WINDOWS = {
+    "": (emp.X_LIMIT - 4400, emp.X_LIMIT),
+    "-float": (FLOAT_TOP - 4400, FLOAT_TOP),
+    "-straddle": (FLOAT_TOP - 2200, FLOAT_TOP + 2200),
+}
+
+
+@pytest.mark.parametrize(
+    "g, lo, hi",
+    [
+        pytest.param(g, lo, hi, id=f"g{i}{tag}")
+        for i, g in enumerate([Fraction(2), Fraction(-3), Fraction(9, 2), Fraction(2**70 + 1)])
+        for tag, (lo, hi) in TOP_WINDOWS.items()
+    ],
+)
+def test_kernel_at_top_of_range(g, lo, hi):
+    p = sieve.sieve_primes(hi, lo)
     assert len(p) >= 200
-    facs = [factorize(int(q) - 1).primes for q in p]
-    ells = np.array([ell for f in facs for ell in f], dtype=np.int64)
-    nfac = np.array([len(f) for f in facs], dtype=np.int64)
-    kept, orders = emp._block_orders(g, p, ells, nfac)
+    kept, orders = emp._block_orders(g, p, *_factor_lists(p))
     want = []
     for q in p.tolist():
         if g.numerator % q and g.denominator % q:
