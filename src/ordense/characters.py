@@ -284,11 +284,12 @@ def _sum_by_class(primes: np.ndarray, modulus: int) -> np.ndarray:
     sums = np.zeros((2, modulus))
     squares = int(np.searchsorted(primes, _SQUARES_UPTO, side="right"))
     for i in range(0, len(primes), _CHUNK):
-        chunk = primes[i : i + _CHUNK]
-        residue = chunk % modulus
-        p = chunk.astype(np.float64)
-        x = 1.0 / (p * (p * p - p - 1.0))
-        y = 1.0 / (p * p)
+        p = primes[i : i + _CHUNK].astype(np.float64)
+        # exact for p < 2^53: the rounded p / modulus has the true floor
+        residue = (p - np.floor(p / modulus) * modulus).astype(np.intp)
+        pp = p * p
+        x = 1.0 / (p * (pp - p - 1.0))
+        y = 1.0 / pp
         sums[0] += np.bincount(residue, x + y, minlength=modulus)
         k = squares - i
         if k > 0:

@@ -2,8 +2,8 @@
 
 For every prime p up to x with p dividing neither numerator nor denominator
 of g, the multiplicative order ord_p(g) is computed from the distinct prime
-factors l of p - 1: each l is stripped from the exponent while
-g^(E/l) = 1 (mod p), and the stripped factors make up the index
+factors l of p - 1: l is stripped from p - 1 once for each j >= 1 with
+g^((p - 1)/l^j) = 1 (mod p), and the stripped factors make up the index
 (p - 1) / ord.
 
 The factor sieve runs in segments of SEGMENT numbers, and x is refused
@@ -29,12 +29,14 @@ The orders are computed by one numpy kernel over blocks of a segment's
 primes that hold at most BLOCK (p, l) pairs in all, so its working set
 (about 100 bytes per pair) stays bounded at any segment size and whatever
 the primes' number of factors.  It reduces g mod p once (inverting a
-denominator by Fermat) and tables g^0 .. g^7 mod p per prime; then each
-round of stripping takes one left-to-right power with 3-bit windows
-(WINDOW) for every (p, l) pair still being stripped, reading its prime's
-table row.  A block keeps its residues in float64 when its largest prime
-is below 2^26, and in int64 otherwise; both are exact (see _mulmod).  A
-float64 product stays below 2^52, within the 53-bit significand, and its
+denominator by Fermat; a g with numerator +-1 is counted as 1/g, which has
+the same orders and no denominator) and tables g^0 .. g^7 mod p per prime.
+Then two left-to-right powers with 3-bit windows (WINDOW) read that table:
+one at (p - 1)/l for every (p, l) pair, and one at every deeper
+(p - 1)/l^j, j >= 2, of the pairs the first one hit; each hit strips one
+l.  A block keeps its residues in float64 when its largest prime is below
+2^26, and in int64 otherwise; both are exact (see _mulmod).  A float64
+product stays below 2^52, within the 53-bit significand, and its
 rounded quotient by p has the true floor; an int64 product stays below
 2^60, since every residue is below 2^30.  sieve_orders reads exact orders
 from it.
@@ -235,7 +237,11 @@ def _orders(g: Fraction, x, m=1 << _BITS):
     number at most BLOCK in all (one prime, when its own exceed BLOCK); its
     size counts the primes dividing g too, which the kernel drops.  The
     orders are exact mod m (see _block_orders), and exact at the default.
+    ord_p(1/g) = ord_p(g), and both exclude the same primes, so a g with
+    numerator +-1 is counted as 1/g, which needs no inverse mod p.
     """
+    if abs(g.numerator) == 1:
+        g = 1 / g
     for pvals, fcat, bounds in _factored_chunks(x):
         i0, n = 0, len(pvals)
         while i0 < n:
@@ -255,11 +261,14 @@ def _block_orders(
     """ord_p(g) for a block of primes p; ells lists the distinct prime factors
     of each p - 1 in turn, nfac[i] of them for p[i].
 
-    Every (p, ell) pair is stripped independently: while ell divides the
-    exponent E (starting at p - 1) and g^(E/ell) = 1 (mod p), E becomes E/ell.
-    The index (p - 1) / ord is the product of the stripped ells.  The powers
-    g^0 .. g^(2^WINDOW - 1) mod p are tabled once per prime; every pair of
-    that prime reads its row, in every stripping round.
+    Each (p, ell) pair strips ell from p - 1 as often as g^((p - 1)/ell^j)
+    = 1 (mod p) for j = 1, 2, ..., and the index (p - 1) / ord is the
+    product of the stripped ells.  The hits of a pair are a run j = 1 .. k
+    (ord divides (p - 1)/ell^j for every j up to k), so two powers suffice:
+    the first tests j = 1 for every pair, the second every deeper j for the
+    pairs the first one hit, and each hit strips one ell.  The powers
+    g^0 .. g^(2^WINDOW - 1) mod p are tabled once per prime, and both
+    powers read that table.
 
     The pairs with ell = 1 (mod m) are not stripped: they would only divide
     the result by powers of ell, each = 1 (mod m), so the result is ord_p(g)
@@ -280,19 +289,27 @@ def _block_orders(
         keep &= dm != 0
         gm = _mulmod(gm, _powmod(_power_table(dm, mod), rows, p - 2, mod), mod)
     table = _power_table(gm, mod)
-    owner = np.repeat(rows, nfac)
-    pm = mod[owner]
-    exp = p[owner] - 1
-    index = np.ones_like(p)
     act = np.flatnonzero(ells % m != 1 % m)
-    while len(act):
-        ell = ells[act]
-        e = exp[act] // ell
-        hit = _powmod(table, owner[act], e, pm[act]) == 1
-        act = act[hit]
-        exp[act] = e[hit]
-        np.multiply.at(index, owner[act], ells[act])
-        act = act[exp[act] % ells[act] == 0]
+    owner = np.repeat(rows, nfac)[act]
+    ell = ells[act]
+    exp = (p[owner] - 1) // ell
+    # gathers by integer index: by a boolean mask of random hits they took
+    # several times as long
+    hit = np.flatnonzero(_powmod(table, owner, exp, mod[owner]) == 1)
+    owner, ell, exp = owner[hit], ell[hit], exp[hit]
+    index = np.ones_like(p)
+    np.multiply.at(index, owner, ell)
+    # every deeper exponent (p - 1)/ell^j, j >= 2, of the pairs just hit
+    deep = []
+    while len(exp):
+        exp, rem = np.divmod(exp, ell)
+        more = np.flatnonzero(rem == 0)
+        owner, ell, exp = owner[more], ell[more], exp[more]
+        deep.append((owner, ell, exp))
+    if deep:
+        owner, ell, exp = (np.concatenate(a) for a in zip(*deep))
+        hit = np.flatnonzero(_powmod(table, owner, exp, mod[owner]) == 1)
+        np.multiply.at(index, owner[hit], ell[hit])
     p = p[keep]
     return p, (p - 1) // index[keep]
 
@@ -330,35 +347,36 @@ def _mulmod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
 
 def _power_table(base: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Rows base^0 .. base^(2^WINDOW - 1) mod mod, one row per element, in
-    base's dtype."""
-    table = np.empty((len(base), 1 << WINDOW), dtype=base.dtype)
-    table[:, 0] = 1
-    table[:, 1] = base
+    """Rows base^0 .. base^(2^WINDOW - 1) mod mod, one row per power and one
+    column per element, in base's dtype."""
+    table = np.empty((1 << WINDOW, len(base)), dtype=base.dtype)
+    table[0] = 1
+    table[1] = base
     for k in range(2, 1 << WINDOW):
-        table[:, k] = _mulmod(table[:, k - 1], base, mod)
+        table[k] = _mulmod(table[k - 1], base, mod)
     return table
 
 
 def _powmod(table: np.ndarray, rows: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise b^exp mod mod, b the base of table[rows], by a left-to-right
-    fixed-window power: WINDOW squarings per window of exp, then one multiply
-    by the row's entry for that window's digit, each by _mulmod in the
-    table's dtype."""
+    """Elementwise b^exp mod mod, b the base of column rows of table, by a
+    left-to-right fixed-window power: WINDOW squarings per window of exp,
+    then one multiply by the column's entry for that window's digit, read
+    at digit * n + rows of the flat table, each by _mulmod in the table's
+    dtype."""
     flat = table.ravel()
-    rows = rows << WINDOW
+    n = table.shape[1]
     digit = (1 << WINDOW) - 1
     # the top window holds bit nbits - 1; when every exponent is 0 or 1 (a
     # block of p = 2 alone, whose Fermat exponent p - 2 is 0), the one
     # window at shift 0 is the whole power
     nbits = int(exp.max(initial=0)).bit_length()
     shift = max(nbits - 1, 0) // WINDOW * WINDOW
-    result = flat[rows + (exp >> shift & digit)]
+    result = flat[(exp >> shift & digit) * n + rows]
     while shift:
         shift -= WINDOW
         for _ in range(WINDOW):
             result = _mulmod(result, result, mod)
-        result = _mulmod(result, flat[rows + (exp >> shift & digit)], mod)
+        result = _mulmod(result, flat[(exp >> shift & digit) * n + rows], mod)
     return result
 
 

@@ -1,13 +1,14 @@
 """The package's one prime sieve and the arithmetic tables built from it.
 
-sieve_primes finds the primes in a window [lo, hi]; primes_upto caches its
-primes up to a limit for the Euler products (characters), the base primes
-of the p - 1 factor sieve (empirical) and the crossing-off primes of
-tables, which serves the Kummer series (density).  tables crosses off only
-the primes up to sqrt(limit); every v then has at most one prime factor
-left, which whole-array operations take out of phi and mu.  Both caches
-grow to the largest limit asked for and are never trimmed, so a smaller
-request is a slice of what is already held.
+sieve_primes finds the primes in a window [lo, hi]; primes_upto joins its
+windows of _WINDOW numbers over [2, limit] and caches the primes for the
+Euler products (characters), the base primes of the p - 1 factor sieve
+(empirical) and the crossing-off primes of tables, which serves the Kummer
+series (density).  tables crosses off only the primes up to sqrt(limit);
+every v then has at most one prime factor left, which whole-array
+operations take out of phi and mu.  Both caches grow to the largest limit
+asked for and are never trimmed, so a smaller request is a slice of what
+is already held.
 The census (empirical) needs every prime up to its x only once, and each
 segment of the p - 1 factor sieve (empirical) needs only its own window, so
 both call the uncached sieve_primes and own what it returns.  sieve_primes
@@ -23,6 +24,9 @@ import numpy as np
 
 __all__ = ["primes_upto", "sieve_primes", "tables"]
 
+# numbers per window of primes_upto: each window's flags stay cache-sized,
+# and every limit up to 2^22 + 1 is one window, kept with no copy
+_WINDOW = 1 << 22
 _prime_cache: dict[str, np.ndarray] = {}
 _table_cache: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -59,12 +63,18 @@ def sieve_primes(hi: int, lo: int = 2) -> np.ndarray:
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (cached, grow-only).
 
-    Cached by hand, not by argument: a smaller limit reuses the larger
-    array as a slice, and a larger one replaces it.
+    Sieved by sieve_primes in windows of _WINDOW numbers, whose flags stay
+    cache-sized, and joined.  Cached by hand, not by argument: a smaller
+    limit reuses the larger array as a slice, and a larger one replaces it.
     """
     cached = _prime_cache.get("primes")
     if cached is None or _prime_cache["limit"] < limit:
-        cached = sieve_primes(limit)
+        windows = [
+            sieve_primes(min(lo + _WINDOW - 1, limit), lo)
+            for lo in range(2, max(limit, 2) + 1, _WINDOW)
+        ]
+        # one window is kept as it is: joining copies it
+        cached = windows[0] if len(windows) == 1 else np.concatenate(windows)
         _prime_cache["primes"] = cached
         _prime_cache["limit"] = limit
     return cached[: int(np.searchsorted(cached, limit, side="right"))]

@@ -194,6 +194,34 @@ def test_a_chi_sums_built_once_per_modulus(monkeypatch):
     assert classes == [(q, top) for top in tops for q in (3, 5, 1009)]
 
 
+def _sum_by_class_int_residue(primes, modulus):
+    """_sum_by_class with the residue taken as int64 p % modulus."""
+    chars = ordense.characters
+    sums = np.zeros((2, modulus))
+    squares = int(np.searchsorted(primes, chars._SQUARES_UPTO, side="right"))
+    for i in range(0, len(primes), chars._CHUNK):
+        chunk = primes[i : i + chars._CHUNK]
+        residue = chunk % modulus
+        p = chunk.astype(np.float64)
+        x = 1.0 / (p * (p * p - p - 1.0))
+        y = 1.0 / (p * p)
+        sums[0] += np.bincount(residue, x + y, minlength=modulus)
+        k = squares - i
+        if k > 0:
+            x, y = x[:k], y[:k]
+            sums[1] += np.bincount(residue[:k], (y * y - x * x) / 2.0, minlength=modulus)
+    return sums
+
+
+def test_class_sums_float_residue_bit_identical():
+    # the residue p - floor(p / modulus) * modulus is exact in float64
+    primes = ordense.characters._series_primes(10**6)
+    for modulus in (3, 5, 7, 9, 11, 25, 101, 4001):
+        got = ordense.characters._sum_by_class(primes, modulus)
+        want = _sum_by_class_int_residue(primes, modulus)
+        assert got.tobytes() == want.tobytes(), modulus
+
+
 def test_equal_characters_share_cache_entries():
     # a character of a fresh group equals and hashes as the cached group's
     # one, so a_chi reads the entry the cached character filled

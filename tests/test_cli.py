@@ -92,6 +92,19 @@ def test_validation_exit_codes():
         assert code == 2, argv
 
 
+def test_parser_built_once_and_reused():
+    # the one cached parser keeps no state from a request to the next
+    assert ordense.cli._build_parser() is ordense.cli._build_parser()
+    joint = ["verify", "--g", "2", "--d", "3", "--x", "2000", "--d1", "3"]
+    plain = joint[:-2]
+    first = _run(joint)
+    assert first[0] == 0
+    assert _run(plain)[1] != first[1]
+    assert _run(joint) == first
+    assert _run(["verify", "--g", "2"])[0] == 2
+    assert _run(joint) == first
+
+
 def test_argparse_messages_go_to_run_streams(capsys):
     code, out, err = _run(["verify", "--g", "2"])
     assert code == 2 and out == ""

@@ -36,6 +36,31 @@ def test_hand_table_orders_of_two():
 def test_inverse_has_same_order():
     half = {r.p: r.ord for r in sieve_orders(Fraction(1, 2), 19)}
     assert half == HAND_ORDERS_G2
+    # record for record, so the same primes are excluded
+    for g in (3, -3):
+        assert list(sieve_orders(Fraction(1, g), 3 * 10**5)) == list(sieve_orders(g, 3 * 10**5)), g
+
+
+def test_unit_numerator_needs_no_inverse(monkeypatch):
+    # a g with numerator +-1 is counted as 1/g: one power table per block,
+    # where a denominator otherwise tables its own powers for Fermat's inverse
+    kernel, power_table = emp._block_orders, emp._power_table
+    tables = []
+
+    def block(*args):
+        tables.append(0)
+        return kernel(*args)
+
+    def counted(base, mod):
+        tables[-1] += 1
+        return power_table(base, mod)
+
+    monkeypatch.setattr(emp, "_block_orders", block)
+    monkeypatch.setattr(emp, "_power_table", counted)
+    for g, per_block in ((Fraction(1, 2), 1), (Fraction(-1, 18), 1), (Fraction(9, 2), 2)):
+        tables.clear()
+        count_residues(g, 3, 10**5)
+        assert tables and set(tables) == {per_block}, g
 
 
 def test_rational_g():
@@ -198,8 +223,10 @@ def test_count_memory_flat_in_x(monkeypatch):
 
 def test_kernel_block_working_set(monkeypatch):
     # every block of the kernel holds at most BLOCK (p, l) pairs, and its
-    # traced working set stays near 100 bytes a pair (1.8 MiB measured at
-    # BLOCK = 2^14); blocks of 2^14 primes (57k pairs) took 6.3 MiB
+    # traced working set stays near 100 bytes a pair (1.3 MiB measured at
+    # BLOCK = 2^14); blocks of 2^14 primes (57k pairs) took 6.3 MiB.  g =
+    # 2^64 hits most pairs of l = 2 at every level, so its second stripping
+    # power is the largest
     kernel = emp._block_orders
     blocks = []
 
@@ -214,6 +241,7 @@ def test_kernel_block_working_set(monkeypatch):
     tracemalloc.start()
     try:
         count_residues(2, 6, 10**6)
+        count_residues(2**64, 6, 10**6)
     finally:
         tracemalloc.stop()
     assert len(blocks) > 1
@@ -336,8 +364,8 @@ def _scalar_orders(g, x):
 
 ORACLE_X = 300_000
 ORACLE_G = [2, 3, -3, 4, 8, Fraction(1, 2), Fraction(9, 2), Fraction(-3, 4), 5832]
-# beyond factorize's range
-ORACLE_BIG_G = [2**70 + 1, Fraction(-(2**70 + 1), 3**41)]
+# beyond factorize's range; 2^64 strips l = 2 at many levels
+ORACLE_BIG_G = [2**70 + 1, Fraction(-(2**70 + 1), 3**41), 2**64]
 
 
 @pytest.fixture(scope="module")
@@ -402,35 +430,34 @@ def test_counts_mod_d_match_scalar_oracle(oracle, monkeypatch, size):
             assert count_joint(g, d1, d2, ORACLE_X).counts == want, (g, d1, d2)
 
 
-def _first_round_ells(monkeypatch):
-    """A list that gains, per kernel block from now on, the l of every pair
-    that its first stripping round powers (None for a block with no round).
+def _block_powers(monkeypatch):
+    """A list that gains, per kernel block from now on, one list per
+    _powmod call of the block: (p - 1) / e for each of its exponents e.
 
-    For an integer g the first _powmod of a block is that round, and each
-    of its exponents is (p - 1) / l."""
+    For an integer g every _powmod of a block strips: the first powers each
+    pair's (p - 1) / l, and a second the deeper (p - 1) / l^j, j >= 2."""
     kernel, powmod = emp._block_orders, emp._powmod
-    firsts = []
+    blocks = []
 
     def block(*args):
-        firsts.append(None)
+        blocks.append([])
         return kernel(*args)
 
     def power(table, rows, exp, mod):
-        if firsts[-1] is None:
-            firsts[-1] = ((mod - 1) // exp).tolist()
+        blocks[-1].append(((mod - 1) // exp).tolist())
         return powmod(table, rows, exp, mod)
 
     monkeypatch.setattr(emp, "_block_orders", block)
     monkeypatch.setattr(emp, "_powmod", power)
-    return firsts
+    return blocks
 
 
 def test_counts_skip_pairs_with_ell_one_mod_d(monkeypatch):
-    firsts = _first_round_ells(monkeypatch)
+    blocks = _block_powers(monkeypatch)
 
     def powered():
-        ells = [ell for f in firsts if f is not None for ell in f]
-        firsts.clear()
+        ells = [ell for powers in blocks if powers for ell in powers[0]]
+        blocks.clear()
         return Counter(ells)
 
     x = 10**5
@@ -443,6 +470,16 @@ def test_counts_skip_pairs_with_ell_one_mod_d(monkeypatch):
     list(sieve_orders(2, x))
     every = Counter(ell for _, fcat, _ in emp._factored_chunks(x) for ell in fcat.tolist())
     assert powered() == every
+
+
+@pytest.mark.parametrize("g", [2, 2**64, -3], ids=["2", "2^64", "-3"])
+def test_block_strips_in_two_powers(monkeypatch, g):
+    # the second power, when there is one, tests only prime powers l^j, j >= 2
+    blocks = _block_powers(monkeypatch)
+    list(sieve_orders(g, 10**5))
+    assert len(blocks) > 1 and max(map(len, blocks)) <= 2
+    deeper = [int(q) for powers in blocks for second in powers[1:] for q in second]
+    assert deeper and not any(map(is_prime, deeper))
 
 
 @pytest.mark.parametrize("g", [Fraction(1, 3), Fraction(5, 3), Fraction(1, 2)])
@@ -567,6 +604,10 @@ TOP_WINDOWS = {
 def test_kernel_at_top_of_range(g, lo, hi):
     p = sieve.sieve_primes(hi, lo)
     assert len(p) >= 200
+    _assert_block_by_definition(g, p)
+
+
+def _assert_block_by_definition(g, p):
     kept, orders = emp._block_orders(g, p, *_factor_lists(p))
     want = []
     for q in p.tolist():
@@ -574,6 +615,22 @@ def test_kernel_at_top_of_range(g, lo, hi):
             gm = g.numerator * pow(g.denominator, -1, q) % q
             want.append((q, _order_by_definition(gm, q)))
     assert list(zip(kept.tolist(), orders.tolist())) == want
+
+
+# primes whose p - 1 has a large 2-part or 3-part, such as 65537 = 2^16 + 1
+# and 995329 = 2^12 * 3^5 + 1: one block below 2^26 (float64 residues) and
+# one above (int64)
+DEEP_PRIMES = [
+    [1459, 39367, 52489, 65537, 472393, 786433, 995329, 7340033, 8503057, 19131877, 23068673,
+     57395629],
+    [86093443, 104857601, 167772161, 258280327, 469762049, 998244353],
+]
+
+
+@pytest.mark.parametrize("g", [Fraction(2), Fraction(2**64), Fraction(-(3**40)), Fraction(9, 2)])
+def test_kernel_strips_deep_prime_powers(g):
+    for p in DEEP_PRIMES:
+        _assert_block_by_definition(g, np.array(p))
 
 
 # count_residues(g, 12, 10**6) and count_joint(g, 4, 3, 10**6) as computed

@@ -92,6 +92,28 @@ def test_primes_upto_after_a_larger_call(monkeypatch):
     assert sieve._prime_cache["limit"] == 10**5
 
 
+def test_primes_upto_joins_windows(monkeypatch):
+    # limits inside the first window, at its end and straddling the second
+    w = sieve._WINDOW
+    for limit in (10**6, w + 1, w + 2, w + 10**5):
+        monkeypatch.setattr(sieve, "_prime_cache", {})
+        got = primes_upto(limit)
+        assert got.dtype == "int64"
+        assert np.array_equal(got, sieve_primes(limit)), limit
+
+
+def test_primes_upto_memory_windowed(monkeypatch):
+    # the windows and their join stay under sieve_primes' own bound
+    monkeypatch.setattr(sieve, "_prime_cache", {})
+    tracemalloc.start()
+    try:
+        primes_upto(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+
+
 def test_sieve_primes_memory_half_width():
     # one flag per odd number (5e6 bytes) and the 664579 int64 primes
     # (5.3e6 bytes); a flag per number, or 2 prepended by copying the
