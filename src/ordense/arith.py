@@ -270,9 +270,12 @@ def discriminant_sqrt(g: Fraction | int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'u/v' or an integer literal into a Fraction in lowest terms."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse 'u/v' or an integer literal into a Fraction in lowest terms.
+
+    Malformed text and a zero denominator raise ValueError.
+    """
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from None

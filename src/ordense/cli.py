@@ -10,8 +10,8 @@ Subcommands expose every evaluator plus the empirical harness:
     constants  --q <odd prime power> [--pmax <int>]
     census     --q <odd prime> --x <int>
 
-Output is JSON by default (schema 1, fixed key order, floats rendered with
-17 significant digits so identical requests serialize byte-identically),
+Output is JSON by default (schema 2, fixed key order, each float in Python's
+shortest round-trip form, so identical requests serialize byte-identically),
 or CSV/plain text via --format.  Exit codes: 0 success, 2 validation error,
 3 unsupported case.  A refusal prints the library's ValueError after
 "error:"; only verify checks d and x itself, before any prediction.
@@ -23,8 +23,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import replace
-from fractions import Fraction
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 from .arith import is_prime, parse_rational
@@ -40,40 +39,20 @@ from .density import (
 from .empirical import census_exceptional, check_x, compare, count_joint
 from .kummer import UNSUPPORTED, entanglement_coefficient, kummer_degree
 
-SCHEMA = 1
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _to_json(obj) -> str:
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        return "{" + ",".join(_to_json(str(k)) + ":" + _to_json(v) for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_to_json, obj)) + "]"
-    return json.dumps(obj, ensure_ascii=False)
+SCHEMA = 2
 
 
 def _emit(payload: dict, fmt: str, stream) -> None:
     payload = {"schema": SCHEMA, **payload}
     if fmt == "json":
-        stream.write(_to_json(payload) + "\n")
+        stream.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
     elif fmt == "csv":
         flat = _flatten(payload)
         stream.write(",".join(k for k, _ in flat) + "\n")
-        stream.write(",".join(_csv_cell(v) for _, v in flat) + "\n")
+        stream.write(",".join(str(v) for _, v in flat) + "\n")
     else:
         for k, v in _flatten(payload):
-            stream.write(f"{k} = {_csv_cell(v)}\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
+            stream.write(f"{k} = {v}\n")
 
 
 def _flatten(obj, prefix="") -> list:
@@ -89,35 +68,20 @@ def _flatten(obj, prefix="") -> list:
     return rows
 
 
-def _parse_g(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}")
-
-
 def _density_payload(val) -> dict:
-    out = {
-        "value": val.value,
-        "error_bound": val.error_bound,
-        "rigorous": val.rigorous,
-        "method": val.method,
-    }
+    out = {k: v for k, v in asdict(val).items() if v is not None}
     if val.exact is not None:
         out["exact"] = f"{val.exact.numerator}/{val.exact.denominator}"
-    if val.lo is not None:
-        out["lo"] = val.lo
-        out["hi"] = val.hi
     return out
 
 
 def _cmd_density(args, cfg) -> dict:
-    val = evaluate_density(_parse_g(args.g), args.a, args.d, args.method, cfg)
+    val = evaluate_density(parse_rational(args.g), args.a, args.d, args.method, cfg)
     return _density_payload(val)
 
 
 def _cmd_verify(args, cfg) -> dict:
-    g = _parse_g(args.g)
+    g = parse_rational(args.g)
     if args.d < 2 or args.x < 2:
         raise ValueError("need d >= 2 and x >= 2")
     check_x(args.x)
@@ -164,13 +128,13 @@ def _joint_prediction(dec, d1, d2, a1, a2):
 
 
 def _cmd_degree(args, cfg) -> dict:
-    g = _parse_g(args.g)
+    g = parse_rational(args.g)
     deg = kummer_degree(decompose(g), args.kr, args.k)
     return {"g": str(g), "kr": args.kr, "k": args.k, "degree": deg}
 
 
 def _cmd_decompose(args, cfg) -> dict:
-    g = _parse_g(args.g)
+    g = parse_rational(args.g)
     dec = decompose(g)
     return {
         "g": str(dec.g),
@@ -184,7 +148,7 @@ def _cmd_decompose(args, cfg) -> dict:
 
 
 def _cmd_cg(args, cfg) -> dict:
-    g = _parse_g(args.g)
+    g = parse_rational(args.g)
     c = entanglement_coefficient(decompose(g), args.b, args.f, args.v)
     cg = "unsupported" if c is UNSUPPORTED else c
     return {"g": str(g), "b": args.b, "f": args.f, "v": args.v, "cg": cg}

@@ -616,7 +616,9 @@ def evaluate_density(
     """Best available evaluation of delta_g(a, d); see the module docstring.
 
     method 'auto' prefers closed > char > series; the chosen route is
-    reported in the returned value's .method field.
+    reported in the returned value's .method field.  Method 'series' at an
+    odd prime power q^s with s >= 2 takes the (t, n) double series, not
+    delta_prime_power's rescaled level-q series.
     """
     if method not in ("auto", "closed", "char", "series"):
         raise ValueError(f"unknown method {method!r}")

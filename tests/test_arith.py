@@ -13,6 +13,7 @@ from ordense.arith import (
     is_prime,
     kronecker,
     moebius,
+    nu2,
     odd_prime_power,
     parse_rational,
     squarefree_kernel,
@@ -205,3 +206,32 @@ def test_parse_rational():
     assert parse_rational("2") == 2
     assert parse_rational("-4/6") == Fraction(-2, 3)
     assert parse_rational(" 16/81 ") == Fraction(16, 81)
+
+
+def test_parse_rational_refuses_malformed_text_and_zero_denominator():
+    for text in ("1/0", "abc", "1/", "3/4/5"):
+        with pytest.raises(ValueError, match=f"bad rational {text!r}"):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: moebius(0), "moebius expects n >= 1", id="moebius"),
+        pytest.param(lambda: euler_phi(0), "euler_phi expects n >= 1", id="euler_phi"),
+        pytest.param(lambda: valuation(3, 0), "valuation expects n >= 1", id="valuation"),
+        pytest.param(lambda: nu2(0), r"nu2\(0\) is undefined", id="nu2"),
+        pytest.param(
+            lambda: squarefree_kernel(0), r"squarefree_kernel\(0\) is undefined", id="kernel"
+        ),
+    ],
+)
+def test_refuses_zero(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_kronecker_at_zero():
+    # (a|0) = 1 iff a = +-1
+    assert kronecker(1, 0) == kronecker(-1, 0) == 1
+    assert kronecker(2, 0) == 0

@@ -491,3 +491,17 @@ def test_prime_cutoff_range_checked_before_sieving(monkeypatch):
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda chi: h_chi(chi, 0), "v must be positive", id="h_chi"),
+        pytest.param(lambda chi: c_chi(chi, 0, 1, 1, 1000), "need h >= 1", id="c_chi-h"),
+        pytest.param(lambda chi: c_chi(chi, 1, 0, 1, 1000), "need h >= 1", id="c_chi-r"),
+        pytest.param(lambda chi: c_chi(chi, 1, 1, 0, 1000), "need h >= 1", id="c_chi-s"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(character_group(5).characters[1])

@@ -67,15 +67,16 @@ def test_cg_values_and_unsupported_exit():
 def test_degree_and_cg_echo_parsed_g():
     # the raw --g text "8\n" would split a JSON, CSV or text row
     code, out, _ = _run(["degree", "--g", "8\n", "--kr", "8", "--k", "2"])
-    assert code == 0 and out == '{"schema":1,"g":"8","kr":8,"k":2,"degree":4}\n'
+    assert code == 0 and out == '{"schema":2,"g":"8","kr":8,"k":2,"degree":4}\n'
     argv = ["--format", "csv", "cg", "--g", "10/2", "--b", "2", "--f", "5", "--v", "2"]
     code, out, _ = _run(argv)
-    assert code == 0 and out == "schema,g,b,f,v,cg\n1,5,2,5,2,0\n"
+    assert code == 0 and out == "schema,g,b,f,v,cg\n2,5,2,5,2,0\n"
     code, out, _ = _run(["--format", "text", "degree", "--g", " 4/2", "--kr", "8", "--k", "2"])
     assert code == 0 and out.splitlines()[1] == "g = 2"
-    # strings are JSON-escaped, floats keep 17 digits
-    text = ordense.cli._to_json({"s": 'a\n"b\\', "x": 0.1, "n": [None, True, 3]})
-    assert text == '{"s":"a\\n\\"b\\\\","x":0.10000000000000001,"n":[null,true,3]}'
+    # strings are JSON-escaped, floats print in their shortest round-trip form
+    out = io.StringIO()
+    ordense.cli._emit({"s": 'a\n"b\\', "x": 0.1, "n": [None, True, 3]}, "json", out)
+    assert out.getvalue() == '{"schema":2,"s":"a\\n\\"b\\\\","x":0.1,"n":[null,true,3]}\n'
 
 
 def test_validation_exit_codes():
@@ -90,6 +91,12 @@ def test_validation_exit_codes():
     ):
         code, out, err = _run(argv)
         assert code == 2, argv
+
+
+def test_bad_rational_exits_2():
+    for text in ("1/0", "abc"):
+        code, out, err = _run(["density", "--g", text, "--a", "0", "--d", "3"])
+        assert code == 2 and out == "" and err.startswith(f"error: bad rational {text!r}: ")
 
 
 def test_parser_built_once_and_reused():
@@ -117,11 +124,11 @@ def test_argparse_messages_go_to_run_streams(capsys):
 
 # `ordense constants --q 5 --pmax 10000000`, byte for byte
 CONSTANTS_Q5_1E7 = (
-    '{"schema":1,"q":5,"prime_cutoff":10000000,"characters":[{"index":0,"order":1,"re":1,"im":0'
-    ',"tail_bound":0}'
+    '{"schema":2,"q":5,"prime_cutoff":10000000,"characters":[{"index":0,"order":1,"re":1.0,"im":0.0'
+    ',"tail_bound":0.0}'
     ',{"index":1,"order":4,"re":0.36468962861594334,"im":0.22404109573765058'
     ',"tail_bound":1.3808420003684339e-08}'
-    ',{"index":2,"order":2,"re":0.12930793928585047,"im":0'
+    ',{"index":2,"order":2,"re":0.12930793928585047,"im":0.0'
     ',"tail_bound":4.171716770158906e-09}'
     ',{"index":3,"order":4,"re":0.36468962861594334,"im":-0.22404109573765058'
     ',"tail_bound":1.3808420003684339e-08}]}\n'
@@ -132,10 +139,10 @@ def test_constants_table():
     code, out, _ = _run(["constants", "--q", "3", "--pmax", "1000000"])
     assert code == 0
     assert '"index":0' in out and '"order":1' in out
-    assert '"re":1,"im":0,"tail_bound":0' in out  # principal character
+    assert '"re":1.0,"im":0.0,"tail_bound":0.0' in out  # principal character
     code, out, _ = _run(["constants", "--q", "5", "--pmax", "1000000"])
     # the real character mod 5 prints an exact 0, not -0 or a round-off
-    assert re.search(r'"index":2,"order":2,"re":[0-9.e-]+,"im":0,', out)
+    assert re.search(r'"index":2,"order":2,"re":[0-9.e-]+,"im":0\.0,', out)
     # the whole table at the default cutoff, byte for byte: the generic and
     # class sums and their truncation above 2e5 move no printed digit
     code, out, _ = _run(["constants", "--q", "5", "--pmax", "10000000"])
@@ -176,6 +183,55 @@ def test_verify_refuses_x_below_2():
     assert code == 2 and out == "" and err == "error: need d >= 2 and x >= 2\n"
 
 
+# the README's nine commands, verify at x = 1e6: each with its keys, then
+# each row's keys (a row may stop before its last key)
+CONTRACT = [
+    ("density --g 2 --a 0 --d 3 --method closed", "value error_bound rigorous method exact", ""),
+    ("density --g 2 --a 1 --d 3", "value error_bound rigorous method", ""),
+    ("degree --g 2 --kr 8 --k 2", "g kr k degree", ""),
+    ("decompose --g -4", "g sign g0 h disc_g0 m generic", ""),
+    ("cg --g 5 --b 2 --f 5 --v 2", "g b f v cg", ""),
+    ("constants --q 5 --pmax 10000000", "q prime_cutoff characters", "index order re im tail_bound"),
+    ("census --q 3 --x 1000000", "q x count fraction", ""),
+    (
+        "verify --g 2 --d 3 --x 1000000",
+        "g d x primes_considered tolerance ok classes",
+        "a count frequency predicted deviation ok",
+    ),
+    (
+        "verify --g 2 --d 3 --x 1000000 --d1 3",
+        "g d1 d x primes_considered classes",
+        "p_class ord_class count frequency predicted",
+    ),
+]
+
+
+def test_output_contract():
+    floats = []
+
+    def parse_float(text):
+        floats.append(text)
+        return float(text)
+
+    for command, keys, row_keys in CONTRACT:
+        code, out, _ = _run(command.split())
+        assert code == 0 and out.count("\n") == 1, command
+        payload = json.loads(out, parse_float=parse_float)
+        assert list(payload) == ["schema", *keys.split()], command
+        assert payload["schema"] == 2
+        for row in payload.get("characters", payload.get("classes", [])):
+            assert list(row) == row_keys.split()[: len(row)], command
+        # CSV cells are str() of the JSON values, in the same order
+        code, out, _ = _run(["--format", "csv", *command.split()])
+        header, cells = out.splitlines()
+        flat = ordense.cli._flatten(payload)
+        assert header == ",".join(k for k, _ in flat), command
+        assert cells == ",".join(str(v) for _, v in flat), command
+    # every float is printed in its shortest round-trip form
+    assert len(floats) > 30
+    assert all(text == repr(float(text)) for text in floats), floats
+
+
 def test_formats():
     code, out, _ = _run(["--format", "text", "decompose", "--g", "8"])
     assert code == 0 and "h = 3" in out
@@ -183,7 +239,7 @@ def test_formats():
     assert code == 0
     header, row = out.strip().split("\n")
     assert header.split(",")[0] == "schema"
-    assert row.split(",")[0] == "1"
+    assert row.split(",")[0] == "2"
 
 
 def test_format_bytes_pinned():
@@ -191,25 +247,25 @@ def test_format_bytes_pinned():
     _, out, _ = _run(["--format", "csv", *argv])
     assert out == (
         "schema,value,error_bound,rigorous,method,exact\n"
-        "1,0.375,0,True,closed_form,3/8\n"
+        "2,0.375,0.0,True,closed_form,3/8\n"
     )
     _, out, _ = _run(["--format", "text", *argv])
     assert out == (
-        "schema = 1\nvalue = 0.375\nerror_bound = 0\nrigorous = True\n"
+        "schema = 2\nvalue = 0.375\nerror_bound = 0.0\nrigorous = True\n"
         "method = closed_form\nexact = 3/8\n"
     )
     # nested lists of dicts flatten to dotted keys
     _, out, _ = _run(["--format", "text", "verify", "--g", "2", "--d", "3", "--x", "20", "--d1", "3"])
     assert out.startswith(
-        "schema = 1\ng = 2\nd1 = 3\nd = 3\nx = 20\nprimes_considered = 7\n"
+        "schema = 2\ng = 2\nd1 = 3\nd = 3\nx = 20\nprimes_considered = 7\n"
         "classes.0.p_class = 0\nclasses.0.ord_class = 2\nclasses.0.count = 1\n"
         "classes.0.frequency = 0.14285714285714285\nclasses.1.p_class = 1\n"
     )
     # the plain verify report, key order and float digits included
     _, out, _ = _run(["verify", "--g", "2", "--d", "3", "--x", "20000", "--pmax", "100000"])
     assert out == (
-        '{"schema":1,"g":"2","d":3,"x":20000,"primes_considered":2261,'
-        '"tolerance":0.063091517530130425,"ok":true,"classes":['
+        '{"schema":2,"g":"2","d":3,"x":20000,"primes_considered":2261,'
+        '"tolerance":0.06309151753013043,"ok":true,"classes":['
         '{"a":0,"count":845,"frequency":0.37372843874391865,"predicted":0.375,'
         '"deviation":0.001271561256081355,"ok":true},'
         '{"a":1,"count":787,"frequency":0.34807607253427686,"predicted":0.345120736683172,'

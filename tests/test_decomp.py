@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ordense.decomp
 from ordense.arith import discriminant_sqrt, nu2
-from ordense.decomp import decompose, n_r
+from ordense.decomp import GDecomposition, decompose, n_r
 
 
 def test_decompose_examples():
@@ -131,3 +131,20 @@ def test_is_generic():
     assert decompose(-2).h == 1
     assert decompose(Fraction(2, 3)).h == 1
     assert decompose(Fraction(16, 81)).h != 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: n_r(decompose(2), 0), "r must be positive", id="n_r"),
+        pytest.param(
+            # 2**2 is not 8
+            lambda: GDecomposition(Fraction(8), 1, Fraction(2), 2, 8, 8),
+            "does not reconstruct g",
+            id="reconstruct",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -633,6 +633,21 @@ def test_prime_power_rejects_unknown_method():
             delta_prime_power(dec, a, 3, 1, method="bogus")
 
 
+def test_prime_power_series_rescales_level_q():
+    # method "series" at 9 rescales the level-3 v-series (a != 0 mod 3) or
+    # j-series (a = 0 mod 3); evaluate_density's series route at 9 is the
+    # (t, n) double series instead
+    dec = decompose(2)
+    cfg = TruncationConfig(t_max=60, n_max=60, v_max=2000)
+    for a in (0, 1, 3, 5):
+        val = delta_prime_power(dec, a, 3, 2, "series", cfg)
+        base = delta_level_q_series(dec, a, 3, cfg)[1] if a % 3 else zero_class_series(dec, 3)
+        assert val.method == "scaled", a
+        assert (val.value, val.error_bound) == (base.value / 3, base.error_bound / 3), a
+        series = evaluate_density(2, a, 9, "series", cfg)
+        assert series == delta_general_series(dec, a, 9, cfg)[1], a
+
+
 def test_general_series_scaling_law_d9():
     cfg = TruncationConfig(t_max=500, n_max=500, v_max=30_000, prime_cutoff=10**6)
     for g in (2, 5):
@@ -748,6 +763,33 @@ def test_evaluate_density_dispatch():
         evaluate_density(2, 1, 15, "char", CFG)
     with pytest.raises(ValueError):
         evaluate_density(1, 1, 3, "auto", CFG)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda dec: evaluate_density(2, 1, 3, "bogus"), "unknown method 'bogus'", id="method"
+        ),
+        pytest.param(
+            lambda dec: delta_level_q_series(dec, 0, 3), "series form needs q coprime", id="level_q"
+        ),
+        pytest.param(
+            lambda dec: delta_charform(dec, 3, 3), "character form needs q coprime", id="charform"
+        ),
+        pytest.param(lambda dec: delta_avg(1, 1), "modulus must be at least 2", id="avg-d"),
+        pytest.param(
+            lambda dec: delta_avg(1, 3, method="char"), "supports methods 'auto'", id="avg-method"
+        ),
+        pytest.param(lambda dec: delta_prime_power(dec, 1, 3, 0), "s must be >= 1", id="s"),
+        pytest.param(
+            lambda dec: delta_general_series(dec, 1, 1), "modulus must be at least 2", id="general"
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(decompose(2))
 
 
 def test_negative_even_exponent_flagged():

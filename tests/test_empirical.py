@@ -702,6 +702,12 @@ def test_census_monotone_and_thinning():
     assert fracs[0] > fracs[1] > fracs[2], fracs
 
 
+@pytest.mark.parametrize("x", [0, 10**8 + 1])
+def test_census_refuses_x_out_of_range(x):
+    with pytest.raises(ValueError, match="census supports 1 <= x <= 1e8"):
+        census_exceptional(3, x)
+
+
 def test_compare_self_is_exact():
     tab = count_residues(2, 3, 10_000)
     freqs = {a: tab.counts[a] / tab.primes_considered for a in range(3)}

@@ -365,3 +365,16 @@ def test_kernels_take_int64_for_any_n1():
         ratio = _degree_ratio(dec, 3, v, np.array([euler_phi(x) for x in v.tolist()]))
         assert ratio.dtype == np.int64, g
         assert ratio.tolist() == [intersection_degree(dec, 3, x) for x in v.tolist()], g
+
+
+@pytest.mark.parametrize("f, v", [(0, 2), (2, 0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, v: intersection_degree(decompose(2), f, v), id="intersection"),
+        pytest.param(lambda f, v: entanglement_coefficient(decompose(2), 1, f, v), id="cg"),
+    ],
+)
+def test_refuses_nonpositive_f_or_v(call, f, v):
+    with pytest.raises(ValueError, match="f and v must be positive"):
+        call(f, v)
