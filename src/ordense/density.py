@@ -30,10 +30,10 @@ The series read their spf/phi/mu tables from ordense.sieve.tables, and
 their Kummer degrees and the coefficients c_g from ordense.kummer.  Both
 series are numpy arrays over bounded blocks: the (t, n) double series sums
 BLOCK pairs at a time, the level-q v-series a block of v with at most
-V_CELLS (v, class) cells.  Each block takes its degrees from the array
-kernel kummer_degrees.  The level-q block also reads sqrt(q*) in K(v, v)
-from them, as 2[K(qv,v):Q] = (q-1)[K(v,v):Q]; the double series takes c_g
-from one kummer.coefficient_table per call, which decides what c_g reads.
+V_CELLS (v, class) cells.  Each block computes the eps case split once,
+with kummer.eps2s, and reads from it its degrees (kummer_degrees), at level
+q also sqrt(q*) in K(v, v) as eps2(qv, v) = 2 eps2(v, v), and in the double
+series also c_g (kummer.entanglement_coefficients).
 Their integer arrays are int64 whenever the integers each series forms fit
 (below 4q v_max^2 at level q): kummer reads n_r from ordense.decomp and
 skips any modulus too large to divide.  Each series adds its terms in the
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, kronecker, odd_prime_power, valuation
+from .arith import euler_phi, is_prime, kronecker, odd_prime_power, valuation
 from .characters import (
     DEFAULT_PRIME_CUTOFF,
     a_chi,
@@ -57,7 +57,7 @@ from .characters import (
     check_prime_cutoff,
 )
 from .decomp import GDecomposition, decompose, n_r
-from .kummer import coefficient_table, kummer_degree, kummer_degrees
+from .kummer import entanglement_coefficients, eps2s, kummer_degree, kummer_degrees
 from .sieve import tables
 
 __all__ = [
@@ -242,7 +242,7 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     the Moebius-weighted divisor counts M_r(v) = sum_{t|v, t=r (q)} mu(v/t)
     against the weight 1/[K(qv,v):Q] (acc1), and against the same weight
     restricted to v with sqrt(q*) in K(v,v) (acc2): the v where
-    2[K(qv,v):Q] = (q-1)[K(v,v):Q], which needs q | D(g0).
+    eps2(qv, v) = 2 eps2(v, v), which needs q | D(g0).
 
     The v run in blocks of at most V_CELLS // max(q, 16) values, so a
     block's (v, class) matrix has at most V_CELLS cells (q cells when q
@@ -252,9 +252,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     the running sums adds the products left to right; a class with
     M_r(v) = 0 or a v outside the sqrt(q*) support adds a signed 0.0, which
     leaves a running sum unchanged.  The integers are int64 when the degree
-    numerators 2(q-1)phi(v)v and the doubled degrees 2[K(qv,v):Q], all
-    below 4q v_max^2, fit, else Python ints.  Memoised per (dec, q, v_max);
-    callers only read the lists.
+    numerators 2(q-1)phi(v)v, below 4q v_max^2, fit, else Python ints.
+    Memoised per (dec, q, v_max); callers only read the lists.
     """
     spf, phi, _ = tables(v_max)
     dt = _int_dtype(4 * q * v_max**2)
@@ -267,9 +266,9 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         vs = vs[vs % q != 0]
         v = vs.astype(dt)
         phi_v = phi[vs].astype(dt)
-        deg = kummer_degrees(dec, q * v, v, (q - 1) * phi_v)
-        w1 = np.asarray(1.0 / deg, dtype=np.float64)
-        has = qdiv and 2 * deg == (q - 1) * kummer_degrees(dec, v, v, phi_v)
+        eps2 = eps2s(dec, q * v, v)
+        w1 = np.asarray(1.0 / kummer_degrees(dec, v, (q - 1) * phi_v, eps2), dtype=np.float64)
+        has = qdiv and eps2 == 2 * eps2s(dec, v, v)
         w2 = np.where(has, w1, 0.0)
         counts = _class_counts(vs, q, spf)
         acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
@@ -554,41 +553,32 @@ def delta_general_series(
     """(delta0, delta) for arbitrary modulus d >= 2 by the (t, n) double series.
 
     delta = sum over t with gcd(1+ta, d) = 1 and squarefree n with
-    gcd(n, d) | a of mu(n) c_g(1+ta, d t, n t) / [K(lcm(d,n)t, nt) : Q],
-    with c_g evaluated after reducing the congruence modulus d*t to
-    d * t_d, t_d the (t,d)-shared prime part of t.  delta0 forces every
-    c_g to 1.  Terms whose coefficient is UNSUPPORTED contribute an
-    interval; delta then carries lo/hi brackets around the truncated sum.
+    gcd(n, d) | a of mu(n) c_g(1+ta, d t, n t) / [K(lcm(d,n)t, nt) : Q].
+    delta0 forces every c_g to 1.  Terms whose coefficient is UNSUPPORTED
+    contribute an interval; delta then carries lo/hi brackets around the
+    truncated sum.
 
     The pairs are summed in blocks of at most BLOCK pairs, in loop order, so
     every sum equals the scalar (t, n) loop's.  The integers are int64 when
     the degree numerators, at most 2*d*(n_max*t_max)^2, stay below 2^63,
-    else Python ints.  The coefficients come from one
-    kummer.coefficient_table per call, over b = 1 + ta and f = d * t_d,
-    which picks its own key type.
+    else Python ints.  Each block computes eps2s at (lcm(d, n)t, nt) once;
+    the degrees and kummer.entanglement_coefficients both read it, since
+    lcm(dt, nt) = lcm(d, n)t.
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
     a %= d
-    t_max, n_max = cfg.t_max, cfg.n_max
-    # t_d, the part of t made of primes of d, for every t <= t_max
-    td = np.ones(t_max, dtype=np.int64)
-    for p, _ in factorize(d):
-        pk = p
-        while pk <= t_max:
-            td[pk - 1 :: pk] *= p
-            pk *= p
-    dt = _int_dtype(2 * d * (n_max * t_max) ** 2)
+    dt = _int_dtype(2 * d * (cfg.n_max * cfg.t_max) ** 2)
     t, n, mun, ell, blocks = _pair_blocks(a, d, cfg, dt)
-    coefficient = coefficient_table(dec, 1 + t * a, d * td[t.astype(np.intp) - 1].astype(dt))
     total0 = 0.0
     total = 0.0
     lo = 0.0
     hi = 0.0
     for i, j, philt in blocks:
         v = n[j] * t[i]
-        term = _terms(mun[j], kummer_degrees(dec, ell[j] * t[i], v, philt))
-        c = coefficient(i, v)
+        eps2 = eps2s(dec, ell[j] * t[i], v)
+        term = _terms(mun[j], kummer_degrees(dec, v, philt, eps2))
+        c = entanglement_coefficients(dec, 1 + t[i] * a, d * t[i], v, eps2)
         undecided = c < 0
         total0 = _running_sum(total0, term)
         total = _running_sum(total, term[c == 1])

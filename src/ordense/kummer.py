@@ -10,20 +10,18 @@ trivially on that intersection?
 
 eps is coded as the integer 2*eps in {1, 2, 4}, so every degree is computed
 with integers only.  _eps2 and kummer_degree give it and the degree for one
-(kr, k); kummer_degrees applies the same case split to whole arrays, and is
-where both series of ordense.density take their degrees from.  All three
-read n_r from decomp.n_r, the one place its formula lives.
+(kr, k); eps2s applies the same case split to whole arrays and
+kummer_degrees reads degrees from it.  All of them take n_r from decomp.n_r,
+the one place its formula lives.
 
 The intersection is the plain cyclotomic Q(zeta_gcd(f,v)) or a quadratic
-extension of it.  When the quadratic jump is attributable to a single odd
-prime q (f a power of q), the extension is Q(sqrt(q*)) with
-q* = (-1|q) * q, and the action of b on it is the Kronecker symbol
-(q*|b).  For other f the quadratic generator is not identified here and
-UNSUPPORTED is returned instead of a guess.
-
-Every decision about which inputs c_g reads lives here: eps alone decides
-whether sqrt(q*) lies in K(v, v), and coefficient_table derives K_f for the
-double series and calls entanglement_coefficient once per reduced key.
+extension of it.  When the jump comes from a single odd prime q (q divides
+f and D(g0), not v; f may be composite, as f = 15 for g = 5), the extension
+is Q(sqrt(q*)) with q* = (-1|q) * q, and b acts on it by (q*|b) = (b|q).
+Any other jump is UNSUPPORTED rather than guessed.  entanglement_coefficient
+decides one key, for the cg command and as the tests' oracle;
+entanglement_coefficients decides whole arrays from the split eps2s that
+the double series also takes its degrees from.
 """
 
 from __future__ import annotations
@@ -38,10 +36,11 @@ from .decomp import GDecomposition, n_r
 __all__ = [
     "UNSUPPORTED",
     "kummer_degree",
+    "eps2s",
     "kummer_degrees",
     "intersection_degree",
     "entanglement_coefficient",
-    "coefficient_table",
+    "entanglement_coefficients",
 ]
 
 
@@ -88,36 +87,41 @@ def kummer_degree(dec: GDecomposition, kr: int, k: int, phi_kr: int | None = Non
     return deg
 
 
-def kummer_degrees(
-    dec: GDecomposition, kr: np.ndarray, k: np.ndarray, phi_kr: np.ndarray
-) -> np.ndarray:
-    """kummer_degree elementwise over arrays with k | kr and phi_kr = phi(kr).
+def eps2s(dec: GDecomposition, kr: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """_eps2 elementwise over int64 or Python-int arrays with k | kr, as int64.
 
-    Applies _eps2's case split with no memo, taking n_r from decomp.n_r once
-    per power of two up to the largest 2-part of r = kr / k (n_r depends on
-    r only through it).  An n_r above every kr divides none and is skipped,
-    so the arrays may be int64 whenever 2 * phi_kr * k stays below 2^63;
-    otherwise they hold Python ints.
+    Takes n_r once per 2-part of r = kr / k (n_r reads r only through it),
+    and skips an n_r above every kr.
     """
     r = kr // k
     two = r & -r  # the 2-part of r
     top = int(kr.max(initial=0))
     eps2 = np.full(kr.shape, 2)
     if dec.sign < 0:
-        eps2[(r % 2 == 1) & (k % 2 == 0) & (k % dec.hc2 != 0)] = 1
+        low = k & -k  # the 2-part of k
+        eps2[(two == 1) & (low > 1) & (low < dec.hc2)] = 1
     for j in range(int(two.max(initial=1)).bit_length()):
         n = n_r(dec, 1 << j)
         if n <= top:
             at = np.flatnonzero(two == 1 << j)
             eps2[at[kr[at] % n == 0]] = 4
+    return eps2
+
+
+def kummer_degrees(
+    dec: GDecomposition, k: np.ndarray, phi_kr: np.ndarray, eps2: np.ndarray
+) -> np.ndarray:
+    """kummer_degree elementwise, from phi_kr = phi(kr) and eps2 = eps2s(dec, kr, k).
+
+    The arrays may be int64 while 2 * phi_kr * k stays below 2^63, else Python ints.
+    """
     num = 2 * phi_kr * k
     den = eps2 * np.gcd(k, dec.h)
-    deg = num // den
-    bad = np.flatnonzero((num % den != 0) | (deg <= 0))
+    bad = np.flatnonzero((num % den != 0) | (num < den))
     if len(bad):
         i = bad[0]
-        raise AssertionError(f"non-integral Kummer degree at kr={kr[i]}, k={k[i]}")
-    return deg
+        raise AssertionError(f"non-integral Kummer degree at k={k[i]}, phi(kr)={phi_kr[i]}")
+    return num // den
 
 
 def intersection_degree(dec: GDecomposition, f: int, v: int) -> int:
@@ -172,44 +176,44 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
     return (1 + kronecker(qstar, b)) // 2
 
 
-def coefficient_table(dec: GDecomposition, b: np.ndarray, f: np.ndarray):
-    """table(i, v)[k] = c_g(b[i[k]], f[i[k]], v[k]) as int64, -1 for UNSUPPORTED.
+def entanglement_coefficients(
+    dec: GDecomposition, b: np.ndarray, f: np.ndarray, v: np.ndarray, eps2: np.ndarray
+) -> np.ndarray:
+    """entanglement_coefficient elementwise as int64, -1 for UNSUPPORTED.
 
-    b and f are integer arrays (int64 or Python ints) with gcd(b, f) = 1; i
-    indexes them and v is a positive integer array of i's shape.
-
-    entanglement_coefficient reads v only through divisibility by divisors
-    of K_f = lcm(f, m, D(g0), 2^(nu2(h)+nu2(f)+1)): gcd(f, v), n_r(r) for
-    r | f and hc2, and n_1 / q through eps(qv, v).  It reads b only mod f: (q*|b) has period q,
-    which divides f.  So the table keeps one id per distinct (f, b mod f)
-    and one memo for its lifetime, and calls the scalar once per distinct
-    (b mod f, f, gcd(v, K_f)), at those arguments.  Its keys are int64 when
-    len(b) * (max K_f + 1) < 2^63, else Python ints.
+    b, f and v are positive with gcd(b, f) = 1, int64 where lcm(f, v) fits
+    and Python ints otherwise; eps2 = eps2s(dec, lcm(f, v), v) is the split
+    steps (2) and (3) read.  Step (3) tries each odd prime q of D(g0) that
+    divides some f and not its v: sqrt(q*) lies in K(v, v) where
+    eps2s(dec, qv, v) = 2 eps2s(dec, v, v), and b acts on it by (b|q).
     """
-    fs, f_id = np.unique(f, return_inverse=True)
-    fs = fs.tolist()
-    kfs = [math.lcm(x, dec.m, dec.disc_g0, 2 << (nu2(dec.h) + nu2(x))) for x in fs]
-    width = max(kfs, default=0) + 1
-    kt = np.int64 if len(b) * width < 1 << 63 else object
-    # (f, b mod f) keyed as f's id * width + b mod f, since b mod f < f <= K_f
-    keys, pair_id = np.unique(f_id.astype(kt) * width + (b % f).astype(kt), return_inverse=True)
-    pairs = [divmod(k, width) for k in keys.tolist()]
-    pair_key = pair_id.astype(kt) * width
-    kf = np.array(kfs, dtype=kt)[f_id]
-    memo: dict[int, int] = {}
+    c = ((b - 1) % np.gcd(f, v) == 0).astype(np.int64)
+    e_vv = eps2s(dec, v, v)
+    at = np.flatnonzero((c == 1) & (eps2 != e_vv))
+    c[at] = -1
+    odd = dec.disc_g0 >> nu2(dec.disc_g0)
+    if odd > 1:
+        # a Python int above int64 needs object entries
+        shared = np.gcd(f[at] if odd >> 63 == 0 else f[at].astype(object), odd)
+        shared //= np.gcd(shared, v[at])  # the primes of f and D(g0) that v lacks
+        for q, _ in factorize(int(np.lcm.reduce(shared, initial=1))):
+            hit = at[shared % q == 0]
+            hit = hit[eps2s(dec, q * v[hit], v[hit]) == 2 * e_vv[hit]]
+            # two such primes would put a biquadratic field inside the intersection
+            assert (c[hit] == -1).all(), "multiple quadratic jumps"
+            c[hit] = _is_square(b[hit], q)
+    # b = 1 (mod f) fixes all of Q(zeta_f); where step (3) decided, it gave 1
+    at = at[c[at] < 0]
+    c[at[(b[at] - 1) % f[at] == 0]] = 1
+    return c
 
-    def table(i: np.ndarray, v: np.ndarray) -> np.ndarray:
-        key = pair_key[i] + np.gcd(v, kf[i]).astype(kt, copy=False)
-        keys, inverse = np.unique(key, return_inverse=True)
-        vals = []
-        for k in keys.tolist():
-            c = memo.get(k)
-            if c is None:
-                p, u = divmod(k, width)
-                fi, r = pairs[p]
-                c = entanglement_coefficient(dec, r, fs[fi], u)
-                c = memo[k] = -1 if c is UNSUPPORTED else c
-            vals.append(c)
-        return np.array(vals, dtype=np.int64)[inverse]
 
-    return table
+def _is_square(x: np.ndarray, q: int) -> np.ndarray:
+    """x^((q-1)/2) = 1 (mod q): x, prime to the odd prime q, is a square mod q."""
+    x = (x % q).astype(np.int64 if q < 1 << 31 else object)  # so that x * x fits
+    r = np.ones_like(x)
+    for bit in bin(q >> 1)[:1:-1]:  # the bits of (q-1)/2, lowest first
+        if bit == "1":
+            r = r * x % q
+        x = x * x % q
+    return r == 1

@@ -1,6 +1,6 @@
 """Every import in the package's modules is used, none reaches another
-module's underscore name, caches memoise by argument, and each module's
-__all__ lists exactly its public names."""
+module's underscore name, caches memoise by argument, each module's
+__all__ lists exactly its public names, and no np.unique call is bare."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,32 @@ def test_all_is_complete(path):
     # every name in __all__ is defined in the module, and every public
     # function or class is listed in it
     assert _all_problems(path.read_text()) == ([], []), path.name
+
+
+def _bare_uniques(source: str) -> list[int]:
+    """Lines of np.unique(...) calls that pass no return_* keyword."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and not any((k.arg or "").startswith("return_") for k in node.keywords)
+    )
+
+
+def test_bare_unique_is_caught():
+    source = (
+        "import numpy as np\nx = np.unique(a)\ny, c = np.unique(a, return_counts=True)\n"
+        "z = sorted(set(a))\nw = np.unique(a, axis=0)\n"
+    )
+    assert _bare_uniques(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_unique(path):
+    # a bare np.unique imports numpy.ma on first use, which costs a process
+    # about 15 ms and 1 MB; a return_* keyword takes the path that does not
+    assert _bare_uniques(path.read_text()) == [], path.name

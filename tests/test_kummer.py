@@ -9,8 +9,9 @@ from ordense.decomp import decompose, n_r
 from ordense.kummer import (
     UNSUPPORTED,
     _eps2,
-    coefficient_table,
     entanglement_coefficient,
+    entanglement_coefficients,
+    eps2s,
     intersection_degree,
     kummer_degree,
     kummer_degrees,
@@ -82,16 +83,18 @@ def test_degree_integrality_panel():
 
 
 def test_kummer_degrees_match_scalar():
-    # the array kernel equals kummer_degree elementwise: int64 arrays over
-    # the panel, object arrays where D(g0) has 92 bits
+    # the array kernels equal _eps2 and kummer_degree elementwise: int64
+    # arrays over the panel, object arrays where D(g0) has 92 bits
     pairs = [(kr, k) for kr in range(1, 501) for k in _divisors(kr)]
     kr = np.array([p[0] for p in pairs])
     k = np.array([p[1] for p in pairs])
     phi = np.array([euler_phi(x) for x in kr.tolist()])
     for g in G_PANEL:
         dec = decompose(g)
+        eps2 = eps2s(dec, kr, k)
+        assert eps2.tolist() == [_eps2(dec, x, y) for x, y in pairs], g
         want = [kummer_degree(dec, x, y) for x, y in pairs]
-        assert kummer_degrees(dec, kr, k, phi).tolist() == want, g
+        assert kummer_degrees(dec, k, phi, eps2).tolist() == want, g
     # g = -4 reaches the eps = 1/2 branch
     assert any(_eps2(decompose(-4), x, y) == 1 for x, y in pairs)
     big = Fraction(2**61 - 1, 2**31 - 1)
@@ -99,7 +102,8 @@ def test_kummer_degrees_match_scalar():
     for g in (big, -big):
         dec = decompose(g)
         want = [kummer_degree(dec, x, y) for x, y in pairs]
-        got = kummer_degrees(dec, kr.astype(object), k.astype(object), phi.astype(object))
+        kro, ko = kr.astype(object), k.astype(object)
+        got = kummer_degrees(dec, ko, phi.astype(object), eps2s(dec, kro, ko))
         assert got.tolist() == want, g
 
 
@@ -295,8 +299,39 @@ def test_cg_reads_b_mod_f_and_gcd_v_kf():
     assert seen == {-1, 0, 1}
 
 
+def _cg_array(dec, b, f, v):
+    return entanglement_coefficients(dec, b, f, v, eps2s(dec, np.lcm(f, v), v))
+
+
+def test_entanglement_coefficients_over_kf_keys():
+    # the array form equals the scalar at every key of the test above,
+    # UNSUPPORTED included, and step (3) decides keys of g = 12 and -3 at
+    # d = 12 and 24: past steps (1) and (2) some key reads 1 (every b here
+    # is 1 mod 3, a square)
+    for g in CG_PANEL:
+        dec = decompose(g)
+        keys = [
+            (b, f, v)
+            for d in (4, 6, 8, 12, 24)
+            for f in (d, 2 * d, 3 * d)
+            for b in range(1, 2 * f, 3)
+            if math.gcd(b, f) == 1
+            for v in range(1, 201)
+        ]
+        b, f, v = np.array(keys).T
+        got = _cg_array(dec, b, f, v)
+        assert got.tolist() == [_cg_int(dec, *key) for key in keys], g
+        jump = (
+            ((b - 1) % np.gcd(f, v) == 0)
+            & ((b - 1) % f != 0)
+            & (eps2s(dec, np.lcm(f, v), v) != eps2s(dec, v, v))
+        )
+        if g in (12, -3):
+            assert (got[jump & (f % 12 == 0)] == 1).any(), g
+
+
 def _table_inputs(dtype):
-    # b = 1 + t*a and f = d*t_d as the double series forms them, d = 12, a = 5
+    # b = 1 + t*a, f = d*t_d (t's part on the primes of d) and v = n*t, d = 12, a = 5
     d, a = 12, 5
     t = np.array([x for x in range(1, 61) if math.gcd(1 + x * a, d) == 1])
     td = np.array([math.gcd(x, d**6) for x in t.tolist()])
@@ -306,31 +341,48 @@ def _table_inputs(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
-def test_coefficient_table_matches_scalar(dtype):
+def test_entanglement_coefficients_match_scalar(dtype):
     b, f, i, v = _table_inputs(dtype)
     seen = set()
     for g in CG_PANEL + [BIG, -BIG]:
         dec = decompose(g)
         want = [_cg_int(dec, int(b[k]), int(f[k]), int(x)) for k, x in zip(i, v.tolist())]
-        table = coefficient_table(dec, b, f)
-        assert table(i, v).tolist() == want, g
-        # a second call reads the memo and agrees, also on a reordered block
-        assert table(i[::-1], v[::-1]).tolist() == want[::-1], g
+        got = _cg_array(dec, b[i], f[i], v)
+        assert got.tolist() == want, g
         seen.update(want)
     assert seen == {-1, 0, 1}
 
 
+def test_entanglement_coefficients_at_a_61_bit_prime():
+    # q = 2^61 - 1 divides D(g0) of BIG, and sqrt(q*) lies in K(v, v) for
+    # v = 4(2^31 - 1), and for BIG also at v = 2(2^31 - 1): step (3) decides
+    # through b mod q with Python ints
+    q = 2**61 - 1
+    keys = [(b, q, v) for b in (2, 3, 5, 7) for v in (2**32 - 2, 2**33 - 4)]
+    b, f, v = np.array(keys, dtype=object).T
+    for g in (BIG, -BIG):
+        dec = decompose(g)
+        want = [_cg_int(dec, *key) for key in keys]
+        assert set(want) == {0, 1}, g
+        assert _cg_array(dec, b, f, v).tolist() == want, g
+
+
 def _degree_ratio(dec, q, v, phi_v):
-    """(q-1)[K(v,v):Q] / [K(qv,v):Q] from the array kernel, for q prime to v."""
-    num = (q - 1) * kummer_degrees(dec, v, v, phi_v)
-    den = kummer_degrees(dec, q * v, v, (q - 1) * phi_v)
+    """(q-1)[K(v,v):Q] / [K(qv,v):Q] from the array kernels, for q prime to v.
+
+    It is also eps2s(qv, v) / eps2s(v, v), which the level-q series reads.
+    """
+    num = (q - 1) * kummer_degrees(dec, v, phi_v, eps2s(dec, v, v))
+    den = kummer_degrees(dec, v, (q - 1) * phi_v, eps2s(dec, q * v, v))
     assert (num % den == 0).all()
+    split = eps2s(dec, q * v, v) == 2 * eps2s(dec, v, v)
+    assert (split == (num == 2 * den)).all()
     return num // den
 
 
 def test_sqrt_qstar_array_matches_scalar():
-    # 2[K(qv,v):Q] = (q-1)[K(v,v):Q], as the level-q series reads sqrt(q*)
-    # in K(v, v), exactly where the scalar intersection degree is 2
+    # 2[K(qv,v):Q] = (q-1)[K(v,v):Q], that is eps2s(qv, v) = 2 eps2s(v, v),
+    # exactly where the scalar intersection degree is 2
     for g in G_PANEL + [BIG, -BIG]:
         dec = decompose(g)
         for q in (3, 5, 7, 13):
@@ -359,7 +411,7 @@ def test_kernels_take_int64_for_any_n1():
     for g in (3 * BIG, -3 * BIG):
         dec = decompose(g)
         assert n_r(dec, 1).bit_length() == (96 if g > 0 else 95)
-        got = kummer_degrees(dec, kr, k, phi)
+        got = kummer_degrees(dec, k, phi, eps2s(dec, kr, k))
         assert got.dtype == np.int64, g
         assert got.tolist() == [kummer_degree(dec, x, y) for x, y in pairs], g
         ratio = _degree_ratio(dec, 3, v, np.array([euler_phi(x) for x in v.tolist()]))
