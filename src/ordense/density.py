@@ -26,7 +26,7 @@ instead.  For composite d that is not an odd prime power some entanglement
 coefficients cannot be decided; the full series then returns an interval
 [lo, hi] instead of a point value, never a guess.
 
-The series read their spf/phi/mu tables from ordense.sieve.tables, and
+The series read their phi and mu tables from ordense.sieve.tables, and
 their Kummer degrees and the coefficients c_g from ordense.kummer.  Both
 series are numpy arrays over bounded blocks: the (t, n) double series sums
 BLOCK pairs at a time, the level-q v-series a block of v with at most
@@ -42,6 +42,7 @@ order of the scalar loop it replaced, so its sums are bit-identical to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,7 +77,7 @@ __all__ = [
 
 _HEURISTIC_C = 8.0
 # largest sum truncations accepted: tables are sized by them
-# (a process that builds tables(3 * 10**6) peaks near 120 MB)
+# (a process that builds tables(3 * 10**6) peaks near 110 MB)
 _SUM_LIMIT = 10**7
 # pairs per block of the (t, n) double series: bounds its arrays, so their
 # size stays flat in t_max and n_max
@@ -198,40 +199,39 @@ def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
 # the level-q v-series evaluators
 
 # (v, class) cells per block of the level-q v-series: a block holds at most
-# V_CELLS // max(q, 16) values of v, which also bounds its lists of
-# squarefree divisors (about 10 per v near 1e6), so the arrays stay flat in
-# v_max and q.  Blocks four times larger ran no faster at v_max = 2.5e4 and
-# raised a process's peak RSS by about 1.5 MB.
+# B = V_CELLS // max(q, 16) values of v, which also bounds its lists of
+# divisor pairs (s, c), about B ln(max v) + sqrt(max v) of them, so the
+# arrays stay flat in v_max and q; sqrt(max v) <= sqrt(_SUM_LIMIT) < V_CELLS
+# keeps the pairs within the cells a block already fills.  Blocks four times
+# larger ran no faster at v_max = 2.5e4 and raised a process's peak RSS by
+# about 1.5 MB.
 V_CELLS = 1 << 14
 
 
-def _class_counts(v: np.ndarray, q: int, spf: np.ndarray) -> np.ndarray:
+def _class_counts(v: np.ndarray, q: int, mu: np.ndarray) -> np.ndarray:
     """M[i, r] = sum over d | v[i] of mu(d) [v[i]/d = r (mod q)], exact, as float64.
 
-    Lists v[i]/d with sign mu(d) for every squarefree divisor d of every
-    v[i], taking one distinct prime of each v[i] per round, then counts the
-    quotients by class.
+    v is increasing.  Lists the divisor pairs (s, c), s <= c, whose product
+    lies in [v[0], v[-1]]: s runs over 1..isqrt(v[-1]), each with its run of
+    cofactors c.  A pair whose product is some v[i] adds mu(s) at class
+    c mod q and, when c != s, mu(c) at class s mod q; any other pair lands
+    in a spare row past the last, and one bincount sums them all.
     """
-    vi = np.arange(len(v))
-    quot = v.copy()
-    sign = np.ones(len(v))
-    rest = v.copy()
-    live = np.flatnonzero(rest > 1)
-    while len(live):
-        p = np.zeros(len(v), dtype=np.int64)
-        p[live] = spf[rest[live]]
-        div = live
-        while len(div):
-            rest[div] //= p[div]
-            div = div[rest[div] % p[div] == 0]
-        pe = p[vi]
-        ext = np.flatnonzero(pe)
-        vi = np.concatenate((vi, vi[ext]))
-        quot = np.concatenate((quot, quot[ext] // pe[ext]))
-        sign = np.concatenate((sign, -sign[ext]))
-        live = np.flatnonzero(rest > 1)
-    counts = np.bincount(vi * q + quot % q, weights=sign, minlength=len(v) * q)
-    return counts.reshape(len(v), q)
+    if not len(v):
+        return np.zeros((0, q))
+    lo, hi = int(v[0]), int(v[-1])
+    s = np.arange(1, math.isqrt(hi) + 1)
+    c0 = np.maximum(s, -(-lo // s))
+    runs = np.maximum(hi // s - c0 + 1, 0)
+    s = np.repeat(s, runs)
+    c = np.arange(len(s)) + np.repeat(c0 - np.cumsum(runs) + runs, runs)
+    pos = np.full(hi - lo + 1, len(v))
+    pos[v - lo] = np.arange(len(v))
+    row = pos[s * c - lo] * q
+    idx = np.concatenate((row + c % q, row + s % q))
+    w = np.concatenate((mu[s], np.where(c > s, mu[c], 0)))
+    counts = np.bincount(idx, weights=w, minlength=(len(v) + 1) * q)
+    return counts[: len(v) * q].reshape(len(v), q)
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +242,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     the Moebius-weighted divisor counts M_r(v) = sum_{t|v, t=r (q)} mu(v/t)
     against the weight 1/[K(qv,v):Q] (acc1), and against the same weight
     restricted to v with sqrt(q*) in K(v,v) (acc2): the v where
-    eps2(qv, v) = 2 eps2(v, v), which needs q | D(g0).
+    eps2(qv, v) = 2 eps2(v, v), which needs q | D(g0).  acc2 is summed only
+    when q | D(g0); otherwise it stays +0.0 in every class.
 
     The v run in blocks of at most V_CELLS // max(q, 16) values, so a
     block's (v, class) matrix has at most V_CELLS cells (q cells when q
@@ -255,7 +256,7 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     numerators 2(q-1)phi(v)v, below 4q v_max^2, fit, else Python ints.
     Memoised per (dec, q, v_max); callers only read the lists.
     """
-    spf, phi, _ = tables(v_max)
+    phi, mu = tables(v_max)
     dt = _int_dtype(4 * q * v_max**2)
     qdiv = dec.disc_g0 % q == 0
     acc1 = np.zeros(q)
@@ -268,11 +269,11 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         phi_v = phi[vs].astype(dt)
         eps2 = eps2s(dec, q * v, v)
         w1 = np.asarray(1.0 / kummer_degrees(dec, v, (q - 1) * phi_v, eps2), dtype=np.float64)
-        has = qdiv and eps2 == 2 * eps2s(dec, v, v)
-        w2 = np.where(has, w1, 0.0)
-        counts = _class_counts(vs, q, spf)
+        counts = _class_counts(vs, q, mu)
         acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
-        acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
+        if qdiv:
+            w2 = np.where(eps2 == 2 * eps2s(dec, v, v), w1, 0.0)
+            acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
     return acc1.tolist(), acc2.tolist()
 
 
@@ -407,7 +408,7 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
     (t[i], n[j]) with philt = phi(ell[j] * t[i]).
     """
     limit = max(cfg.t_max, cfg.n_max)
-    _, phi, mu = tables(limit)
+    phi, mu = tables(limit)
     phi = phi[: limit + 1].astype(dt)
     mun = mu[1 : cfg.n_max + 1]
     n = np.arange(1, cfg.n_max + 1).astype(dt)

@@ -3,12 +3,12 @@
 sieve_primes finds the primes in a window [lo, hi]; primes_upto joins its
 windows of _WINDOW numbers over [2, limit] and caches the primes for the
 Euler products (characters), the base primes of the p - 1 factor sieve
-(empirical) and the crossing-off primes of tables, which serves the Kummer
-series (density).  tables crosses off only the primes up to sqrt(limit);
-every v then has at most one prime factor left, which whole-array
-operations take out of phi and mu.  Both caches grow to the largest limit
-asked for and are never trimmed, so a smaller request is a slice of what
-is already held.
+(empirical) and the crossing-off primes of tables, the phi and mu arrays
+of the Kummer series (density).  tables crosses off only the primes up to
+sqrt(limit); every v then has at most one prime factor left, which
+whole-array operations take out of phi and mu.  Both caches grow to the
+largest limit asked for and are never trimmed, so a smaller request is a
+slice of what is already held.
 The census (empirical) needs every prime up to its x only once, and each
 segment of the p - 1 factor sieve (empirical) needs only its own window, so
 both call the uncached sieve_primes and own what it returns.  sieve_primes
@@ -28,7 +28,7 @@ __all__ = ["primes_upto", "sieve_primes", "tables"]
 # and every limit up to 2^22 + 1 is one window, kept with no copy
 _WINDOW = 1 << 22
 _prime_cache: dict[str, np.ndarray] = {}
-_table_cache: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+_table_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
 
 def sieve_primes(hi: int, lo: int = 2) -> np.ndarray:
@@ -80,20 +80,16 @@ def primes_upto(limit: int) -> np.ndarray:
     return cached[: int(np.searchsorted(cached, limit, side="right"))]
 
 
-def tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(spf, phi, mu) int64 arrays indexed 0..limit or further; spf[1] = 1.
+def tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, mu) int64 arrays indexed 0..limit or further.
 
     Cached and grow-only, so the arrays are shared and read-only.  Cached by
     hand, not by argument: any limit up to the held one reads the same arrays.
     """
     hit = _table_cache.get("t")
     if hit is not None and hit[0] >= limit:
-        return hit[1], hit[2], hit[3]
+        return hit[1], hit[2]
     small = primes_upto(math.isqrt(limit)).tolist()
-    spf = np.arange(limit + 1, dtype=np.int64)
-    # largest prime first, so each composite keeps its smallest prime factor
-    for p in small[::-1]:
-        spf[p * p :: p] = p
     phi = np.arange(limit + 1, dtype=np.int64)
     mu = np.ones(limit + 1, dtype=np.int64)
     # rest[v] is v with its primes <= sqrt(limit) divided out: 1, or the one
@@ -113,8 +109,7 @@ def tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.subtract(phi, rest, out=phi, where=big)
     del rest
     np.negative(mu, out=mu, where=big)
-    for arr in (spf, phi, mu):
+    for arr in (phi, mu):
         arr.flags.writeable = False
-    out = (limit, spf, phi, mu)
-    _table_cache["t"] = out
-    return out[1], out[2], out[3]
+    _table_cache["t"] = (limit, phi, mu)
+    return phi, mu

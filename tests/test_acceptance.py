@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import spf_table
 
 from ordense.arith import is_prime, kronecker, moebius
 from ordense.characters import a_chi, artin_constant, c_chi, character_group
@@ -229,7 +230,8 @@ def test_criterion_10_oracle_suites():
     # C_chi Euler product vs direct truncated summation (h<=4, r<=15, s<=12)
     from ordense.sieve import tables
 
-    spf, phi = (x[:200_001].tolist() for x in tables(200_000)[:2])
+    spf = spf_table(200_000).tolist()
+    phi = tables(200_000)[0][:200_001].tolist()
     cases = [(3, 1, 3, 1), (3, 2, 3, 4), (3, 4, 15, 2), (5, 1, 5, 12), (7, 4, 7, 6), (9, 2, 9, 8)]
     for q, h, r, s in cases:
         for chi in character_group(q):

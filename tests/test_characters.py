@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import spf_table
 
 import ordense.characters
 from ordense.arith import euler_phi, factorize, moebius, valuation
@@ -354,7 +355,8 @@ def test_c_chi_gcd_rs_zero(pmax):
 
 def _c_chi_direct(chi, h, r, s, vmax):
     """Truncated direct summation of the defining series, with a crude tail."""
-    spf, phi = (x[: vmax + 1].tolist() for x in tables(vmax)[:2])
+    spf = spf_table(vmax).tolist()
+    phi = tables(vmax)[0][: vmax + 1].tolist()
     total = 0j
     hval = {}
     for v in range(s, vmax + 1, s):

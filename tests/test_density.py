@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import spf_table
 
 import ordense.density as density
 from ordense.arith import (
@@ -47,7 +48,7 @@ CFG = TruncationConfig(t_max=600, n_max=600, v_max=30_000, prime_cutoff=10**6)
 
 
 def _table_lists(limit):
-    """(spf, phi, mu) indexed 0..limit as lists, for the scalar oracles."""
+    """(phi, mu) indexed 0..limit as lists, for the scalar oracles."""
     return [x[: limit + 1].tolist() for x in tables(limit)]
 
 
@@ -210,7 +211,7 @@ def _level_q_tail(dec, q):
 
 def _mobius_class_counts(q, v_max):
     """M_r(v) = sum over t | v with t = r (mod q) of mu(v/t), by a divisor sieve."""
-    _, _, mu = _table_lists(v_max)
+    _, mu = _table_lists(v_max)
     counts = [[0] * q for _ in range(v_max + 1)]
     for t in range(1, v_max + 1):
         for v in range(t, v_max + 1, t):
@@ -222,7 +223,7 @@ def test_remark_rewrite_consistency():
     # the sqrt(q*)-restricted accumulator equals the smooth-weight rewrite
     # sum_v M_r(v) * (2/[K(qv,v):Q] - 2/((q-1)[K(v,v):Q])) over v coprime to q
     v_max = 20_000
-    _, phi, _ = _table_lists(v_max)
+    phi, _ = _table_lists(v_max)
     for q in (3, 5):
         counts = _mobius_class_counts(q, v_max)
         for g in (5, -3, 27, 2):
@@ -247,7 +248,8 @@ def _level_q_oracle(dec, q, v_max):
     One kummer_degree call per v, its squarefree divisors listed from spf,
     and the sqrt(q*) condition written out, summed in increasing v.
     """
-    spf, phi, _ = _table_lists(v_max)
+    spf = spf_table(v_max).tolist()
+    phi, _ = _table_lists(v_max)
     neg = dec.sign < 0
     hc2 = dec.hc2
     qdivD = dec.disc_g0 % q == 0
@@ -326,6 +328,55 @@ def test_level_q_large_modulus():
         assert _fresh_accumulators(dec, 1009, 2000) == want, g
 
 
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_class_counts_match_divisor_sieve(monkeypatch, rows):
+    # every block the accumulators form, of 1 or 7 values of v or of the
+    # default size, against the divisor sieve; among them empty blocks (every
+    # v a multiple of q), the block holding v = 1, and blocks that begin or
+    # end on a square s^2, where the pair (s, s) counts once
+    class_counts = density._class_counts
+    seen = []
+
+    def record(v, q, mu):
+        got = class_counts(v, q, mu)
+        seen.append((v.tolist(), got))
+        return got
+
+    monkeypatch.setattr(density, "_class_counts", record)
+    squares = {s * s for s in range(2, 55)}
+    kinds = set()
+    for q in (3, 5, 7, 11, 13, 1009):
+        if rows:
+            monkeypatch.setattr(density, "V_CELLS", rows * max(q, 16))
+        want = _mobius_class_counts(q, 3000)
+        seen.clear()
+        _fresh_accumulators(decompose(2), q, 3000)
+        assert sum(len(v) for v, _ in seen) == 3000 - 3000 // q, q
+        for v, got in seen:
+            assert got.dtype == np.float64 and got.shape == (len(v), q), (q, v)
+            assert got.tolist() == [want[x] for x in v], (q, v)
+            if not v:
+                kinds.add("empty")
+                continue
+            hits = (("one", v[0] == 1), ("first", v[0] in squares), ("last", v[-1] in squares))
+            kinds.update(kind for kind, hit in hits if hit)
+    assert kinds == ({"empty"} if rows == 1 else set()) | {"one", "first", "last"}
+
+
+def test_level_q_acc2_zero_unless_q_divides_disc():
+    # q does not divide D(g0) = 8 at g = 2, so no v has sqrt(q*) in K(v, v):
+    # acc2 is +0.0 in every class and the correction leaves delta0 as it is
+    dec = decompose(2)
+    cfg = TruncationConfig(v_max=5000)
+    for q in (3, 5, 7):
+        assert dec.disc_g0 % q
+        _, acc2 = _fresh_accumulators(dec, q, cfg.v_max)
+        assert acc2 == [0.0] * q and all(math.copysign(1, x) == 1 for x in acc2), q
+        for a in range(1, q):
+            d0, d = delta_level_q_series(dec, a, q, cfg)
+            assert d0.value == d.value, (q, a)
+
+
 def test_level_q_second_class_reads_the_cache():
     # the accumulators hold every class mod q, so a second class sums nothing
     _level_q_accumulators.cache_clear()
@@ -365,7 +416,7 @@ def test_prime_power_zero_class_is_exact(d):
 
 
 def test_level_q_memory_bounded():
-    # whole-range lists of spf and phi at v_max = 1e6 would take tens of MB;
+    # whole-range lists of phi and mu at v_max = 1e6 would take tens of MB;
     # the blocks keep the peak of the Python heap under 4 MB (q = 13 fills
     # more cells per block than q = 3)
     tables(10**6)
@@ -407,7 +458,7 @@ def test_general_series_eps_copy_matches_kernel():
 
 def _kept_n(a, d, N):
     """(n, mu(n), lcm(d, n), phi(lcm(d, n))) over squarefree n <= N with gcd(n, d) | a."""
-    _, phi, mu = _table_lists(N)
+    phi, mu = _table_lists(N)
     out = []
     for n in range(1, N + 1):
         g1 = math.gcd(n, d)
@@ -423,7 +474,7 @@ def _general_series_oracle(dec, a, d, T, N):
     Python ints; lo and hi are None when no coefficient is UNSUPPORTED.
     """
     a %= d
-    _, phi, _ = _table_lists(max(T, N))
+    phi, _ = _table_lists(max(T, N))
     dprimes = [p for p, _ in factorize(d)]
     ns = _kept_n(a, d, N)
     total0 = total = lo = hi = 0.0
@@ -515,7 +566,7 @@ def test_general_series_memory_bounded():
 def _avg_series_oracle(a, d, T, N):
     """The scalar (t, n) loop of delta_avg's g-free series."""
     a %= d
-    _, phi, _ = _table_lists(max(T, N))
+    phi, _ = _table_lists(max(T, N))
     ns = _kept_n(a, d, N)
     total = 0.0
     for t in range(1, T + 1):

@@ -1,8 +1,8 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import spf_table
 
 import ordense.sieve as sieve
 from ordense.arith import euler_phi, factorize, is_prime, moebius
@@ -11,10 +11,12 @@ from ordense.sieve import primes_upto, sieve_primes, tables
 
 
 def test_tables_match_arith():
-    spf, phi, mu = tables(3000)
-    assert spf[:2].tolist() == [0, 1]
+    phi, mu = tables(3000)
     # the arrays are the shared cache: callers cannot write into it
-    assert not any(x.flags.writeable for x in (spf, phi, mu))
+    assert not any(x.flags.writeable for x in (phi, mu))
+    # the oracles' factoring table
+    spf = spf_table(3000)
+    assert spf[:2].tolist() == [0, 1]
     for n in range(2, 3001):
         assert spf[n] == min(factorize(n).primes), n
         assert phi[n] == euler_phi(n), n
@@ -22,18 +24,15 @@ def test_tables_match_arith():
 
 
 def _tables_by_loop(limit):
-    """(spf, phi, mu) with every prime <= limit crossed off in a Python loop."""
+    """(phi, mu) with every prime <= limit crossed off in a Python loop."""
     primes = sieve_primes(limit)
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for p in primes[primes <= math.isqrt(limit)][::-1].tolist():
-        spf[p * p :: p] = p
     phi = np.arange(limit + 1, dtype=np.int64)
     mu = np.ones(limit + 1, dtype=np.int64)
     for p in primes.tolist():
         phi[p::p] -= phi[p::p] // p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    return spf, phi, mu
+    return phi, mu
 
 
 def test_tables_match_loop(monkeypatch):
@@ -46,7 +45,7 @@ def test_tables_match_loop(monkeypatch):
         for limit in limits:
             got = tables(limit)
         want = _tables_by_loop(limits[-1])
-        for name, a, b in zip(("spf", "phi", "mu"), got, want):
+        for name, a, b in zip(("phi", "mu"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), (limits, name)
 
 
