@@ -27,7 +27,6 @@ from .characters import (
     artin_constant,
     c_chi,
     character_group,
-    h_chi,
 )
 from .decomp import GDecomposition, decompose, n_r
 from .density import (

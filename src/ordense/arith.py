@@ -20,6 +20,7 @@ __all__ = [
     "factorize",
     "odd_prime_power",
     "is_prime",
+    "require_odd_prime",
     "moebius",
     "euler_phi",
     "valuation",
@@ -93,6 +94,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_odd_prime(q: int) -> None:
+    """Refuse a modulus q that is not an odd prime; every evaluator family reads it."""
+    if q == 2:
+        raise ValueError("the modulus prime must be odd")
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
 
 
 def _pollard_rho(n: int) -> int:

@@ -78,7 +78,6 @@ __all__ = [
     "character_group",
     "EulerProductValue",
     "check_prime_cutoff",
-    "h_chi",
     "a_chi",
     "c_chi",
     "artin_constant",
@@ -216,22 +215,6 @@ class CharacterGroup:
 @lru_cache(maxsize=None)
 def character_group(modulus: int) -> CharacterGroup:
     return CharacterGroup(modulus)
-
-
-def h_chi(chi: DirichletCharacter, v: int) -> complex:
-    """Moebius convolution of chi at v: multiplicative, chi(p^e) - chi(p^(e-1))."""
-    if v < 1:
-        raise ValueError("v must be positive")
-    out = 1 + 0j
-    for p, e in factorize(v):
-        c = chi(p)
-        if c == 0:
-            if e >= 2:
-                return 0j
-            out *= -1
-        else:
-            out *= c ** (e - 1) * (c - 1)
-    return out
 
 
 def _generic_factor(p, c):

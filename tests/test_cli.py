@@ -6,11 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import ordense.characters
 import ordense.cli
-import ordense.density
-import ordense.empirical
-import ordense.sieve
 from ordense.cli import run
 from ordense.density import TruncationConfig
 
@@ -321,7 +317,11 @@ def _forbid_sieve(monkeypatch):
     def boom(*args, **kw):
         raise AssertionError("a truncation reached the sieve")
 
-    for mod in (ordense.sieve, ordense.characters, ordense.empirical, ordense.density):
+    # every module of the package, so a name bound by a module added later
+    # is forbidden too
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "ordense" or mod_name.startswith("ordense.")):
+            continue
         for name in ("primes_upto", "sieve_primes", "tables"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, boom)

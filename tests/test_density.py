@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import spf_table
 
-import ordense.density as density
+import ordense.series as series
 from ordense.arith import (
     discriminant_sqrt,
     euler_phi,
@@ -17,13 +17,11 @@ from ordense.arith import (
     odd_prime_power,
 )
 from ordense.characters import a_chi, c_chi, character_group
+from ordense.charform import _bsum, _charform_pair
 from ordense.decomp import decompose, n_r
 from ordense.density import (
     DensityValue,
     TruncationConfig,
-    _bsum,
-    _charform_pair,
-    _level_q_accumulators,
     zero_class_series,
     delta_avg,
     delta_charform,
@@ -42,6 +40,7 @@ from ordense.kummer import (
     intersection_degree,
     kummer_degree,
 )
+from ordense.series import _level_q_accumulators
 from ordense.sieve import tables
 
 CFG = TruncationConfig(t_max=600, n_max=600, v_max=30_000, prime_cutoff=10**6)
@@ -304,7 +303,7 @@ def test_level_q_small_blocks(monkeypatch, rows):
     for g in _LEVEL_Q_G:
         dec = decompose(g)
         for q in (3, 5, 7, 11, 13):
-            monkeypatch.setattr(density, "V_CELLS", rows * max(q, 16))
+            monkeypatch.setattr(series, "V_CELLS", rows * max(q, 16))
             want = _level_q_oracle(dec, q, 150)
             assert _fresh_accumulators(dec, q, 150) == want, (rows, g, q)
 
@@ -334,7 +333,7 @@ def test_class_counts_match_divisor_sieve(monkeypatch, rows):
     # default size, against the divisor sieve; among them empty blocks (every
     # v a multiple of q), the block holding v = 1, and blocks that begin or
     # end on a square s^2, where the pair (s, s) counts once
-    class_counts = density._class_counts
+    class_counts = series._class_counts
     seen = []
 
     def record(v, q, mu):
@@ -342,12 +341,12 @@ def test_class_counts_match_divisor_sieve(monkeypatch, rows):
         seen.append((v.tolist(), got))
         return got
 
-    monkeypatch.setattr(density, "_class_counts", record)
+    monkeypatch.setattr(series, "_class_counts", record)
     squares = {s * s for s in range(2, 55)}
     kinds = set()
     for q in (3, 5, 7, 11, 13, 1009):
         if rows:
-            monkeypatch.setattr(density, "V_CELLS", rows * max(q, 16))
+            monkeypatch.setattr(series, "V_CELLS", rows * max(q, 16))
         want = _mobius_class_counts(q, 3000)
         seen.clear()
         _fresh_accumulators(decompose(2), q, 3000)
@@ -526,7 +525,7 @@ def test_general_series_blocks_split_pairs_of_one_t(monkeypatch):
     cases = [(g, d, a) for g in (2, -4, Fraction(1, 2)) for d in (6, 8) for a in range(d)]
     want = {c: _general_series_oracle(decompose(c[0]), c[2], c[1], 40, 40) for c in cases}
     for block in (1, 7):
-        monkeypatch.setattr(density, "BLOCK", block)
+        monkeypatch.setattr(series, "BLOCK", block)
         for g, d, a in cases:
             assert _series_outputs(decompose(g), a, d, 40, 40) == want[g, d, a], (block, g, d, a)
 
@@ -546,7 +545,7 @@ def test_series_terms_round_once():
     assert 1 / float(D) != 1 / D
     mun = np.array([1, -1, 1])
     deg = np.array([D, D, 6])
-    assert density._terms(mun, deg).tolist() == [1 / D, -1 / D, 1 / 6]
+    assert series._terms(mun, deg).tolist() == [1 / D, -1 / D, 1 / 6]
 
 
 def test_general_series_memory_bounded():

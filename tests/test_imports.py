@@ -1,6 +1,7 @@
 """Every import in the package's modules is used, none reaches another
-module's underscore name, caches memoise by argument, each module's
-__all__ lists exactly its public names, and no np.unique call is bare."""
+module's underscore name, the evaluator families import nothing of each
+other, caches memoise by argument, each module's __all__ lists exactly its
+public names, and no np.unique call is bare."""
 
 import ast
 from pathlib import Path
@@ -10,21 +11,41 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "ordense"
 
 
-def _unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _imported_names(nodes) -> set[str]:
     imported = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
+    return imported
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module's top-level __all__ lists."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(source: str) -> list[str]:
+    # an imported name listed in __all__ is a re-export, so it is used
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    return sorted(_imported_names(ast.walk(tree)) - used - _exported(tree))
 
 
 def test_unused_import_is_caught():
     source = "import math\nimport numpy as np\nfrom .arith import nu2\nnp.ones(1)\n"
     assert _unused_imports(source) == ["math", "nu2"]
+
+
+def test_unused_import_outside_all_is_caught():
+    source = '__all__ = ["nu2"]\nfrom .arith import nu2, valuation\n'
+    assert _unused_imports(source) == ["valuation"]
 
 
 # __init__.py imports only to re-export: its imports are the package's API
@@ -62,6 +83,56 @@ def test_no_private_imports(path):
     assert _private_imports(path.read_text()) == [], path.name
 
 
+def _package_imports(source: str) -> set[str]:
+    """The modules of the package that a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = [a.name.split(".") for a in node.names]
+            found.update(p[1] for p in parts if p[0] == "ordense" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level or parts[:1] == ["ordense"]:
+                inner = parts if node.level else parts[1:]
+                # "from . import series" names the module itself
+                found.update(inner[:1] or [a.name for a in node.names])
+    return found
+
+
+# the three evaluator families agree only if they share no code: each may
+# read the primitives under them (arith, sieve, decomp, and the closed forms
+# with the types in closed), never another family's machinery.  Counting
+# reads no analytic module at all.
+_ANALYTIC = {"closed", "series", "charform", "density", "kummer", "characters"}
+FORBIDDEN = {
+    "series": {"characters", "charform"},
+    "charform": {"series", "kummer"},
+    "closed": {"series", "charform", "kummer"},
+    "empirical": _ANALYTIC,
+}
+
+
+def _family_violations(module: str, source: str) -> list[str]:
+    return sorted(_package_imports(source) & FORBIDDEN[module])
+
+
+def test_family_import_is_caught():
+    source = (
+        "import numpy as np\nfrom .arith import nu2\nfrom .kummer import eps2s\n"
+        "import ordense.characters\nfrom ordense.sieve import tables\n"
+        "from . import series\ndef f():\n    from .closed import DensityValue\n"
+    )
+    assert _package_imports(source) == {"arith", "kummer", "characters", "sieve", "series", "closed"}
+    assert _family_violations("charform", source) == ["kummer", "series"]
+    assert _family_violations("series", source) == ["characters"]
+    assert _family_violations("empirical", source) == ["characters", "closed", "kummer", "series"]
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN))
+def test_families_stay_independent(module):
+    assert _family_violations(module, (SRC / f"{module}.py").read_text()) == [], module
+
+
 def _module_caches(source: str) -> set[str]:
     """Names ending in _cache assigned at a module's top level."""
     names = set()
@@ -92,7 +163,8 @@ def _all_problems(source: str) -> tuple[list[str], list[str]]:
     """(names in __all__ not defined at top level, public top-level
     functions and classes missing from __all__)."""
     tree = ast.parse(source)
-    defined, public, exported = set(), set(), []
+    # an imported name counts as defined: listed in __all__, it is a re-export
+    defined, public = _imported_names(tree.body), set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
@@ -100,16 +172,14 @@ def _all_problems(source: str) -> tuple[list[str], list[str]]:
                 public.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {t.id for t in targets if isinstance(t, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                exported = ast.literal_eval(node.value)
-    return sorted(set(exported) - defined), sorted(public - set(exported))
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    exported = _exported(tree)
+    return sorted(exported - defined), sorted(public - exported)
 
 
 def test_all_problems_are_caught():
     source = (
-        '__all__ = ["f", "Gone", "K"]\nK = 1\n'
+        '__all__ = ["f", "Gone", "K", "nu2"]\nfrom .arith import nu2\nK = 1\n'
         "def f():\n    pass\nclass C:\n    pass\ndef _private():\n    pass\n"
     )
     assert _all_problems(source) == (["Gone"], ["C"])
