@@ -70,14 +70,13 @@ import numpy as np
 from .arith import factorize, odd_prime_power, valuation
 # bound here and called through this module global, so a wrapper installed
 # on ordense.characters.primes_upto sees every Euler product's sieve call
-from .sieve import primes_upto
+from .sieve import DEFAULT_PRIME_CUTOFF, check_prime_cutoff, primes_upto
 
 __all__ = [
     "DirichletCharacter",
     "CharacterGroup",
     "character_group",
     "EulerProductValue",
-    "check_prime_cutoff",
     "a_chi",
     "c_chi",
     "artin_constant",
@@ -89,10 +88,6 @@ _SQUARES_UPTO = 200_000  # P1: the class sums keep the c^2 term up to it
 _SERIES_REMAINDER = 2.0e-16  # truncation bound over all p > P0, see module docstring
 # primes per bincount pass: a chunk's float temporaries stay near 1 MB
 _CHUNK = 1 << 14
-DEFAULT_PRIME_CUTOFF = 10**7
-# largest prime cutoff accepted: the sieve holds one byte per integer up to
-# it; 1e8 is also the census's bound
-_PRIME_CUTOFF_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -224,14 +219,6 @@ def _generic_factor(p, c):
     p^3 - p^2 - p + c has no root with |c| = 1.
     """
     return 1.0 + (c - 1.0) * p / ((p * p - c) * (p - 1.0))
-
-
-def check_prime_cutoff(prime_cutoff: int) -> None:
-    """Refuse a prime cutoff outside [100, 1e8] before anything is sieved."""
-    if prime_cutoff < 100:
-        raise ValueError("prime_cutoff must be at least 100")
-    if prime_cutoff > _PRIME_CUTOFF_LIMIT:
-        raise ValueError("prime_cutoff must be <= 1e8")
 
 
 def _tail_factor(prime_cutoff: int, tail_const: float = _TAIL_CONST) -> float:

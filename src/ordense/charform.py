@@ -14,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import kronecker, require_odd_prime
-from .characters import DEFAULT_PRIME_CUTOFF, a_chi, c_chi, character_group
+from .characters import a_chi, c_chi, character_group
 from .closed import DensityValue, delta_joint_one_mod_q
 from .decomp import GDecomposition, n_r
+from .sieve import DEFAULT_PRIME_CUTOFF
 
 __all__ = ["delta_charform", "delta_avg_charform"]
 

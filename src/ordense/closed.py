@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import require_odd_prime, valuation
-from .characters import DEFAULT_PRIME_CUTOFF, check_prime_cutoff
 from .decomp import GDecomposition
+from .sieve import DEFAULT_PRIME_CUTOFF, check_prime_cutoff
 
 __all__ = [
     "TruncationConfig",

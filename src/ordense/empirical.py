@@ -56,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import require_odd_prime
 from .sieve import primes_upto, sieve_primes
 
 __all__ = [
@@ -477,8 +477,7 @@ def census_exceptional(q: int, x: int) -> int:
     perfect squares count vacuously.  Marks, for each prime p = 1 (mod q),
     the g with odd nu_p(g) and counts the unmarked rest.
     """
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError("q must be an odd prime")
+    require_odd_prime(q)
     if x < 1 or x > 10**8:
         raise ValueError("census supports 1 <= x <= 1e8")
     excluded = np.zeros(x + 1, dtype=bool)

@@ -15,13 +15,24 @@ kummer_degrees reads degrees from it.  All of them take n_r from decomp.n_r,
 the one place its formula lives.
 
 The intersection is the plain cyclotomic Q(zeta_gcd(f,v)) or a quadratic
-extension of it.  When the jump comes from a single odd prime q (q divides
-f and D(g0), not v; f may be composite, as f = 15 for g = 5), the extension
-is Q(sqrt(q*)) with q* = (-1|q) * q, and b acts on it by (q*|b) = (b|q).
-Any other jump is UNSUPPORTED rather than guessed.  entanglement_coefficient
-decides one key, for the cg command and as the tests' oracle;
-entanglement_coefficients decides whole arrays from the split eps2s that
-the double series also takes its degrees from.
+extension of it.  When the jump comes from a single odd prime q (f may be
+composite, as f = 15 for g = 5), the extension is Q(sqrt(q*)) with
+q* = (-1|q) * q, and b acts on it by (q*|b) = (b|q).  Any other jump is
+UNSUPPORTED rather than guessed.  entanglement_coefficient decides one key,
+for the cg command and as the tests' oracle; entanglement_coefficients
+decides whole arrays from the split eps2s that the double series also takes
+its degrees from.
+
+n_1 = n_r(dec, 1) names q: for an odd prime q not dividing v, sqrt(q*) lies
+in K(v, v), that is eps2(qv, v) = 2 eps2(v, v), exactly when
+q = n_1 / gcd(v, n_1).  Proof: with r = q odd, n_q = n_1, so eps2(qv, v) is
+4 exactly when n_1 | qv, and otherwise the negative-g branch, which reads
+only the sign of g, v and hc2, gives it the value it gives eps2(v, v).  So
+the degree doubles exactly when n_1 | qv, n_1 does not divide v and
+eps2(v, v) != 1.  The odd part of n_1, that of D(g0), is squarefree, so the
+first two hold for q = n_1 / gcd(v, n_1) alone; then n_1 / q divides v, and
+with it the 2-part of n_1, at least hc2, so the third holds too.  Such a q,
+odd and prime, never divides v, as q^2 does not divide n_1.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import math
 
 import numpy as np
 
-from .arith import euler_phi, factorize, kronecker, nu2
+from .arith import euler_phi, is_prime, kronecker
 from .decomp import GDecomposition, n_r
 
 __all__ = [
@@ -143,12 +154,11 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
     the identity on Q(zeta_f) ∩ K(v, v).  Steps: (1) b must be 1 modulo
     u = gcd(f, v), and b = 1 (mod f) settles it at once; (2) if the
     intersection is exactly Q(zeta_u) we are done;
-    (3) if the quadratic jump is attributable to a single odd prime q (q
-    divides f and D(g0), not v, and sqrt(q*) lies in K(v, v)), then the
-    intersection is Q(zeta_u, sqrt(q*)) by degree count, with conductor
-    |q*| = q dividing f but not u, and the answer is (1 + (q*|b)) / 2;
-    (4) any other quadratic jump (2-adic entanglement through an even f) is
-    UNSUPPORTED rather than guessed.
+    (3) if q = n_1 / gcd(v, n_1) is an odd prime dividing f, sqrt(q*) is the
+    jump (module docstring), the intersection is Q(zeta_u, sqrt(q*)) by
+    degree count, and the answer is (1 + (b|q)) / 2; (4) any other jump
+    (2-adic entanglement through an even f) is UNSUPPORTED rather than
+    guessed.
     """
     if f < 1 or v < 1:
         raise ValueError("f and v must be positive")
@@ -161,19 +171,11 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
         return 1  # sigma_b is the identity on all of Q(zeta_f)
     if intersection_degree(dec, f, v) == 1:
         return 1
-    shared = math.gcd(f, dec.disc_g0)
-    candidates = [
-        q
-        for q, _ in factorize(shared)
-        if q != 2 and v % q != 0 and intersection_degree(dec, q, v) == 2
-    ]
-    if not candidates:
+    n1 = n_r(dec, 1)
+    q = n1 // math.gcd(v, n1)
+    if q % 2 == 0 or f % q or not is_prime(q):
         return UNSUPPORTED
-    # two such primes would put a biquadratic field inside the intersection
-    assert len(candidates) == 1, f"multiple quadratic jumps at f={f}, v={v}"
-    q = candidates[0]
-    qstar = kronecker(-1, q) * q
-    return (1 + kronecker(qstar, b)) // 2
+    return (1 + kronecker(b, q)) // 2
 
 
 def entanglement_coefficients(
@@ -183,28 +185,20 @@ def entanglement_coefficients(
 
     b, f and v are positive with gcd(b, f) = 1, int64 where lcm(f, v) fits
     and Python ints otherwise; eps2 = eps2s(dec, lcm(f, v), v) is the split
-    steps (2) and (3) read.  Step (3) tries each odd prime q of D(g0) that
-    divides some f and not its v: sqrt(q*) lies in K(v, v) where
-    eps2s(dec, qv, v) = 2 eps2s(dec, v, v), and b acts on it by (b|q).
+    step (2) reads.  Step (3) reads q = n_1 / gcd(v, n_1) at each key with a
+    quadratic jump, as the scalar does.
     """
     c = ((b - 1) % np.gcd(f, v) == 0).astype(np.int64)
-    e_vv = eps2s(dec, v, v)
-    at = np.flatnonzero((c == 1) & (eps2 != e_vv))
+    at = np.flatnonzero((c == 1) & (eps2 != eps2s(dec, v, v)))
+    at = at[(b[at] - 1) % f[at] != 0]  # b = 1 (mod f) fixes all of Q(zeta_f)
     c[at] = -1
-    odd = dec.disc_g0 >> nu2(dec.disc_g0)
-    if odd > 1:
+    n1 = n_r(dec, 1)
+    if n1 & (n1 - 1):  # D(g0) has an odd prime
         # a Python int above int64 needs object entries
-        shared = np.gcd(f[at] if odd >> 63 == 0 else f[at].astype(object), odd)
-        shared //= np.gcd(shared, v[at])  # the primes of f and D(g0) that v lacks
-        for q, _ in factorize(int(np.lcm.reduce(shared, initial=1))):
-            hit = at[shared % q == 0]
-            hit = hit[eps2s(dec, q * v[hit], v[hit]) == 2 * e_vv[hit]]
-            # two such primes would put a biquadratic field inside the intersection
-            assert (c[hit] == -1).all(), "multiple quadratic jumps"
-            c[hit] = _is_square(b[hit], q)
-    # b = 1 (mod f) fixes all of Q(zeta_f); where step (3) decided, it gave 1
-    at = at[c[at] < 0]
-    c[at[(b[at] - 1) % f[at] == 0]] = 1
+        q = n1 // np.gcd(v[at] if n1 >> 63 == 0 else v[at].astype(object), n1)
+        for p in filter(is_prime, set(q[q % 2 == 1].tolist())):
+            hit = at[(q == p) & (f[at] % p == 0)]
+            c[hit] = _is_square(b[hit], p)
     return c
 
 

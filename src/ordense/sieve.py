@@ -14,6 +14,8 @@ segment of the p - 1 factor sieve (empirical) needs only its own window, so
 both call the uncached sieve_primes and own what it returns.  sieve_primes
 holds one flag per odd number of its window, so 2 is never a crossing-off
 stride, and the flag of the number 1 stands for 2.
+check_prime_cutoff bounds the Euler products' prime cutoff where its primes
+are sieved, so TruncationConfig checks it without importing characters.
 """
 
 from __future__ import annotations
@@ -22,13 +24,26 @@ import math
 
 import numpy as np
 
-__all__ = ["primes_upto", "sieve_primes", "tables"]
+__all__ = ["DEFAULT_PRIME_CUTOFF", "check_prime_cutoff", "primes_upto", "sieve_primes", "tables"]
+
+DEFAULT_PRIME_CUTOFF = 10**7
+# largest prime cutoff accepted: the primes below 1e8 take 46 MB in the
+# cache; 1e8 is also the census's bound
+_PRIME_CUTOFF_LIMIT = 10**8
 
 # numbers per window of primes_upto: each window's flags stay cache-sized,
 # and every limit up to 2^22 + 1 is one window, kept with no copy
 _WINDOW = 1 << 22
 _prime_cache: dict[str, np.ndarray] = {}
 _table_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
+def check_prime_cutoff(prime_cutoff: int) -> None:
+    """Refuse a prime cutoff outside [100, 1e8] before anything is sieved."""
+    if prime_cutoff < 100:
+        raise ValueError("prime_cutoff must be at least 100")
+    if prime_cutoff > _PRIME_CUTOFF_LIMIT:
+        raise ValueError("prime_cutoff must be <= 1e8")
 
 
 def sieve_primes(hi: int, lo: int = 2) -> np.ndarray:

@@ -708,6 +708,12 @@ def test_census_refuses_x_out_of_range(x):
         census_exceptional(3, x)
 
 
+@pytest.mark.parametrize("q, message", [(2, "the modulus prime must be odd"), (9, "9 is not prime")])
+def test_census_refuses_q_through_the_shared_refusal(q, message):
+    with pytest.raises(ValueError, match=message):
+        census_exceptional(q, 100)
+
+
 def test_compare_self_is_exact():
     tab = count_residues(2, 3, 10_000)
     freqs = {a: tab.counts[a] / tab.primes_considered for a in range(3)}

@@ -107,6 +107,12 @@ def _gap(sides) -> float:
         pytest.param(lambda cfg: _power_map(5, 2, 3, cfg), id="power-5-2-3"),
         pytest.param(lambda cfg: _power_map(2, 3, 5, cfg), id="power-2-3-5"),
         pytest.param(lambda cfg: _sign_map(5, 3, cfg), id="sign-5-3"),
+        # these three reach step (3) of c_g: sqrt(5) or sqrt(-7) lies in
+        # K(v, v), and a coefficient (b|q) of the wrong sign leaves a gap of
+        # 0.09 to 0.18 that does not shrink
+        pytest.param(lambda cfg: _power_map(5, 2, 5, cfg), id="power-5-2-5"),
+        pytest.param(lambda cfg: _sign_map(5, 5, cfg), id="sign-5-5"),
+        pytest.param(lambda cfg: _power_map(-7, 2, 7, cfg), id="power-m7-2-7"),
     ],
 )
 def test_composite_identities_converge(identity):

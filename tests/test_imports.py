@@ -101,8 +101,8 @@ def _package_imports(source: str) -> set[str]:
 
 # the three evaluator families agree only if they share no code: each may
 # read the primitives under them (arith, sieve, decomp, and the closed forms
-# with the types in closed), never another family's machinery.  Counting
-# reads no analytic module at all.
+# with the types in closed), never another family's machinery, directly or
+# through a module it imports.  Counting reads no analytic module at all.
 _ANALYTIC = {"closed", "series", "charform", "density", "kummer", "characters"}
 FORBIDDEN = {
     "series": {"characters", "charform"},
@@ -112,8 +112,20 @@ FORBIDDEN = {
 }
 
 
-def _family_violations(module: str, source: str) -> list[str]:
-    return sorted(_package_imports(source) & FORBIDDEN[module])
+def _reached(module: str, sources: dict[str, str]) -> set[str]:
+    """The package modules that importing module loads: the closure of its
+    imports over sources, which maps module names to their source (a module
+    missing from it imports nothing)."""
+    seen, todo = set(), [module]
+    while todo:
+        new = _package_imports(sources.get(todo.pop(), "")) - seen
+        seen |= new
+        todo.extend(new)
+    return seen
+
+
+def _family_violations(module: str, sources: dict[str, str]) -> list[str]:
+    return sorted(_reached(module, sources) & FORBIDDEN[module])
 
 
 def test_family_import_is_caught():
@@ -123,14 +135,30 @@ def test_family_import_is_caught():
         "from . import series\ndef f():\n    from .closed import DensityValue\n"
     )
     assert _package_imports(source) == {"arith", "kummer", "characters", "sieve", "series", "closed"}
-    assert _family_violations("charform", source) == ["kummer", "series"]
-    assert _family_violations("series", source) == ["characters"]
-    assert _family_violations("empirical", source) == ["characters", "closed", "kummer", "series"]
+    assert _family_violations("charform", {"charform": source}) == ["kummer", "series"]
+    assert _family_violations("series", {"series": source}) == ["characters"]
+    assert _family_violations("empirical", {"empirical": source}) == [
+        "characters", "closed", "kummer", "series"
+    ]
+
+
+def test_transitive_family_import_is_caught():
+    # series imports nothing forbidden itself, but closed, which it imports,
+    # imports characters
+    sources = {
+        "series": "from .closed import TruncationConfig\nfrom .sieve import tables\n",
+        "closed": "from .arith import nu2\nfrom .characters import check_prime_cutoff\n",
+        "characters": "from .sieve import primes_upto\n",
+    }
+    assert _reached("series", sources) == {"closed", "sieve", "arith", "characters"}
+    assert _family_violations("series", sources) == ["characters"]
+    assert _family_violations("closed", sources) == []
 
 
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_families_stay_independent(module):
-    assert _family_violations(module, (SRC / f"{module}.py").read_text()) == [], module
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _family_violations(module, sources) == [], module
 
 
 def _module_caches(source: str) -> set[str]:

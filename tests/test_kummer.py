@@ -367,6 +367,60 @@ def test_entanglement_coefficients_at_a_61_bit_prime():
         assert _cg_array(dec, b, f, v).tolist() == want, g
 
 
+def _powmod(x, e, p):
+    """x^e mod p elementwise over int64 arrays, p < 2^31 so products fit."""
+    r = np.ones_like(p)
+    x = x % p
+    while e.any():
+        r = np.where(e & 1, r * x % p, r)
+        x = x * x % p
+        e = e >> 1
+    return r
+
+
+def test_cg_chebotarev_splitting_counts():
+    # by Chebotarev, the primes p = b (mod f) with p = 1 (mod v) and g a v-th
+    # power mod p have density c_g(b, f, v) / [K(lcm(f, v), v) : Q]: their
+    # Frobenius is sigma_b on Q(zeta_f) and the identity on K(v, v).  Checked
+    # at the keys past steps (1) and (2), on both forms, against counts below
+    # 1e6: c = 0 admits no prime, c = 1 about pi(x) / degree of them
+    p = primes_upto(10**6)
+    fs = (3, 5, 7, 12, 15, 20, 21, 24, 28, 30)
+    residues = {f: p % f for f in fs}
+    n = np.gcd(p - 1, 24)  # every v below divides 24, so v | p - 1 iff v | n
+    decided = {0: 0, 1: 0}
+    for g in (12, -3, 5, -7, Fraction(5, 4), -15, 21):
+        dec = decompose(g)
+        num, den = Fraction(g).numerator, Fraction(g).denominator
+        good = (2 * num * den) % p != 0
+        # g^((p-1)/v) = y^(n/v) mod p
+        y = _powmod(num % p * _powmod(den % p, p - 2, p), (p - 1) // n, p)
+        for v in (1, 2, 4, 6, 8, 12):
+            split = good & (n % v == 0) & (_powmod(y, n // v, p) == 1)
+            keys = [
+                (b, f, v)
+                for f in fs
+                for b in range(2, f)
+                if math.gcd(b, f) == 1
+                and (b - 1) % math.gcd(f, v) == 0
+                and intersection_degree(dec, f, v) == 2
+            ]
+            b, f, vv = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+            got = _cg_array(dec, b, f, vv)
+            for key, c in zip(keys, got.tolist()):
+                assert c == _cg_int(dec, *key), (g, key)
+                if c < 0:
+                    continue
+                count = np.count_nonzero(split & (residues[key[1]] == key[0]))
+                mean = len(p) / kummer_degree(dec, math.lcm(key[1], v), v)
+                if c == 0:
+                    assert count == 0, (g, key, count)
+                else:
+                    assert abs(count - mean) <= 5 * math.sqrt(mean), (g, key, count, mean)
+                decided[c] += 1
+    assert decided == {0: 302, 1: 203}, decided
+
+
 def _degree_ratio(dec, q, v, phi_v):
     """(q-1)[K(v,v):Q] / [K(qv,v):Q] from the array kernels, for q prime to v.
 
