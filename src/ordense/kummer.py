@@ -21,7 +21,10 @@ q* = (-1|q) * q, and b acts on it by (q*|b) = (b|q).  Any other jump is
 UNSUPPORTED rather than guessed.  entanglement_coefficient decides one key,
 for the cg command and as the tests' oracle; entanglement_coefficients
 decides whole arrays from the split eps2s that the double series also takes
-its degrees from.
+its degrees from.  It reads b only in step (1), the b = 1 (mod f) shortcut
+and jump_coefficients; entanglement_jumps, the jumps of step (2) and the
+primes of step (3) that name them, reads none, so the double series takes
+it once per block and applies each residue class's b to it.
 
 n_1 = n_r(dec, 1) names q: for an odd prime q not dividing v, sqrt(q*) lies
 in K(v, v), that is eps2(qv, v) = 2 eps2(v, v), exactly when
@@ -52,6 +55,8 @@ __all__ = [
     "intersection_degree",
     "entanglement_coefficient",
     "entanglement_coefficients",
+    "entanglement_jumps",
+    "jump_coefficients",
 ]
 
 
@@ -127,12 +132,13 @@ def kummer_degrees(
     The arrays may be int64 while 2 * phi_kr * k stays below 2^63, else Python ints.
     """
     num = 2 * phi_kr * k
-    den = eps2 * np.gcd(k, dec.h)
-    bad = np.flatnonzero((num % den != 0) | (num < den))
+    den = eps2 * np.gcd(k, dec.h) if dec.h > 1 else eps2
+    deg = num // den
+    bad = np.flatnonzero((deg * den != num) | (num < den))
     if len(bad):
         i = bad[0]
         raise AssertionError(f"non-integral Kummer degree at k={k[i]}, phi(kr)={phi_kr[i]}")
-    return num // den
+    return deg
 
 
 def intersection_degree(dec: GDecomposition, f: int, v: int) -> int:
@@ -185,20 +191,52 @@ def entanglement_coefficients(
 
     b, f and v are positive with gcd(b, f) = 1, int64 where lcm(f, v) fits
     and Python ints otherwise; eps2 = eps2s(dec, lcm(f, v), v) is the split
-    step (2) reads.  Step (3) reads q = n_1 / gcd(v, n_1) at each key with a
-    quadratic jump, as the scalar does.
+    step (2) reads.  Steps (2) and (3) read no b (entanglement_jumps); step
+    (1), the b = 1 (mod f) shortcut and jump_coefficients read b.
     """
     c = ((b - 1) % np.gcd(f, v) == 0).astype(np.int64)
-    at = np.flatnonzero((c == 1) & (eps2 != eps2s(dec, v, v)))
-    at = at[(b[at] - 1) % f[at] != 0]  # b = 1 (mod f) fixes all of Q(zeta_f)
-    c[at] = -1
+    at, q = entanglement_jumps(dec, f, v, eps2)
+    keep = (c[at] == 1) & ((b[at] - 1) % f[at] != 0)  # b = 1 (mod f) fixes all of Q(zeta_f)
+    c[at[keep]] = jump_coefficients(b[at[keep]], q[keep])
+    return c
+
+
+def entanglement_jumps(
+    dec: GDecomposition, f: np.ndarray, v: np.ndarray, eps2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The part of c_g that reads no b: the jumps of step (2) and their names from step (3).
+
+    Returns (at, q): at lists the keys where Q(zeta_f) ∩ K(v, v) is a
+    quadratic extension of Q(zeta_gcd(f, v)), that is eps2 !=
+    eps2s(dec, v, v), with eps2 = eps2s(dec, lcm(f, v), v); q[k] is the odd
+    prime q = n_1 / gcd(v, n_1) at key at[k] when q divides f there, and 0
+    where the jump is unnamed.  q is int64, or Python ints when n_1 >= 2^63.
+    """
+    at = np.flatnonzero(eps2 != eps2s(dec, v, v))
     n1 = n_r(dec, 1)
+    big = n1 >> 63 != 0
+    q = np.zeros(len(at), dtype=object if big else np.int64)
     if n1 & (n1 - 1):  # D(g0) has an odd prime
         # a Python int above int64 needs object entries
-        q = n1 // np.gcd(v[at] if n1 >> 63 == 0 else v[at].astype(object), n1)
-        for p in filter(is_prime, set(q[q % 2 == 1].tolist())):
-            hit = at[(q == p) & (f[at] % p == 0)]
-            c[hit] = _is_square(b[hit], p)
+        qa = n1 // np.gcd(v[at].astype(object) if big else v[at], n1)
+        for p in filter(is_prime, set(qa[qa % 2 == 1].tolist())):
+            hit = (qa == p) & (f[at] % p == 0)
+            q[hit] = p
+    return at, q
+
+
+def jump_coefficients(b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """c_g at jump keys past step (1) with b != 1 (mod f), from entanglement_jumps' q.
+
+    (1 + (b|q)) / 2 where q names the jump, -1 (UNSUPPORTED) where q = 0.
+    """
+    c = np.full(len(q), -1)
+    rest = np.flatnonzero(q)
+    while len(rest):
+        p = q[rest[0]]
+        hit = q[rest] == p
+        c[rest[hit]] = _is_square(b[rest[hit]], int(p))
+        rest = rest[~hit]
     return c
 
 

@@ -16,11 +16,24 @@ BLOCK pairs at a time, the level-q v-series a block of v with at most
 V_CELLS (v, class) cells.  Each block computes the eps case split once,
 with kummer.eps2s, and reads from it its degrees (kummer_degrees), at level
 q also sqrt(q*) in K(v, v) as eps2(qv, v) = 2 eps2(v, v), and in the double
-series also c_g (kummer.entanglement_coefficients).
+series also the part of c_g that reads no b (kummer.entanglement_jumps).
 Their integer arrays are int64 whenever the integers each series forms fit
 (below 4q v_max^2 at level q): kummer reads n_r from ordense.decomp and
 skips any modulus too large to divide.  Each series adds its terms in the
 order of the scalar loop it replaced, so its sums are bit-identical to it.
+
+Both series sum every residue class at once where they can, and memoise
+the sums per argument: _level_q_accumulators every class mod q, and
+_general_sums the classes of the double series summed so far for (g, d,
+t_max, n_max).  Only the masks and c_g(1 + ta, dt, nt) of a term read the
+class a; its degree, eps split and phi do not.  On these keys step (1) of
+c_g always holds, since gcd(dt, nt) = t gcd(d, n) divides ta, and
+1 + ta = 1 (mod dt) exactly when d | a, so class 0 reads no c_g and every
+other class reads it only at the jumps of step (2).  A class of a key that
+holds no class yet is summed alone over its own pairs; the next class
+asked for runs one pass over class 0's pairs, which hold every class's,
+and sums all d classes of d <= SHARED_CLASSES from each block's shared
+terms.
 
 The family reads nothing of the character form: no Dirichlet character and
 no Euler product.
@@ -37,7 +50,13 @@ import numpy as np
 from .arith import euler_phi, kronecker, require_odd_prime, valuation
 from .closed import DEFAULT_CONFIG, DensityValue, TruncationConfig, delta_joint_one_mod_q
 from .decomp import GDecomposition
-from .kummer import entanglement_coefficients, eps2s, kummer_degree, kummer_degrees
+from .kummer import (
+    entanglement_jumps,
+    eps2s,
+    jump_coefficients,
+    kummer_degree,
+    kummer_degrees,
+)
 from .sieve import tables
 
 __all__ = [
@@ -51,6 +70,12 @@ _HEURISTIC_C = 8.0
 # pairs per block of the (t, n) double series: bounds its arrays, so their
 # size stays flat in t_max and n_max
 BLOCK = 1 << 12
+# the most classes one pass of the double series sums together: each adds
+# its own running sums to every block, so a pass over all d classes costs
+# about 1 + d/5 passes over class 0 alone (1.9 at d = 6, 14 at d = 64, for
+# T = N = 300); verify asks for all d, but two requests at a large d would
+# pay for every class
+SHARED_CLASSES = 64
 
 
 def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
@@ -201,9 +226,11 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
 
     Keeps the t <= t_max with gcd(1 + ta, d) = 1 and the squarefree
     n <= n_max with gcd(n, d) | a.  Returns (t, n, mu(n), ell = lcm(d, n),
-    blocks): blocks yields (i, j, philt) for runs of at most BLOCK
-    consecutive pairs in loop order (t outer, n inner), each pair
-    (t[i], n[j]) with philt = phi(ell[j] * t[i]).
+    gcd(n, d), blocks): blocks yields (i, j, philt) for runs of at most
+    BLOCK consecutive pairs in loop order (t outer, n inner), the pairs
+    (t[i], n[j]) row by row for slices i and j, with philt the flat array of
+    phi(ell[j] * t[i]).  A block holds the whole runs of n of consecutive t,
+    or part of one run when a run exceeds BLOCK.
     """
     limit = max(cfg.t_max, cfg.n_max)
     phi, mu = tables(limit)
@@ -218,15 +245,31 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
     t = np.arange(1, cfg.t_max + 1).astype(dt)
     t = t[np.gcd(1 + t * a, d) == 1]
     phit = phi[t.astype(np.intp)]
+    width = len(n)
+
+    def spans():
+        rows = BLOCK // width
+        if rows:
+            for i0 in range(0, len(t), rows):
+                yield slice(i0, i0 + rows), slice(None)
+        else:
+            for i0 in range(len(t)):
+                for j0 in range(0, width, BLOCK):
+                    yield slice(i0, i0 + 1), slice(j0, j0 + BLOCK)
 
     def blocks():
-        pairs = len(t) * len(n)
-        for p0 in range(0, pairs, BLOCK):
-            i, j = np.divmod(np.arange(p0, min(p0 + BLOCK, pairs)), len(n))
-            g2 = np.gcd(ell[j], t[i])
-            yield i, j, phil[j] * phit[i] * g2 // phi[g2.astype(np.intp)]
+        if not width:
+            return
+        for i, j in spans():
+            g2 = np.gcd(ell[j], t[i, None])
+            yield i, j, (phil[j] * phit[i, None] * g2 // phi[g2.astype(np.intp)]).ravel()
 
-    return t, n, mun, ell, blocks()
+    return t, n, mun, ell, g1, blocks()
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[r] * y[c] over the pairs (r, c) in row order, as a flat array."""
+    return np.multiply.outer(x, y).ravel()
 
 
 def _terms(mun: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -250,12 +293,85 @@ def delta_avg_series(a: int, d: int, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     """The g-free average density delta(a, d) by the truncated double series."""
     # no g anywhere: the degree is philt * n * t
     dt = _int_dtype(d * (cfg.n_max * cfg.t_max) ** 2)
-    t, n, mun, _, blocks = _pair_blocks(a, d, cfg, dt)
+    t, n, mun, _, _, blocks = _pair_blocks(a, d, cfg, dt)
     total = 0.0
     for i, j, philt in blocks:
-        total = _running_sum(total, _terms(mun[j], philt * n[j] * t[i]))
+        total = _running_sum(total, _terms(np.tile(mun[j], len(t[i])), philt * _outer(t[i], n[j])))
     tail = _HEURISTIC_C * d * (1.0 / cfg.t_max + 1.0 / cfg.n_max)
     return DensityValue(total, tail, False, "series")
+
+
+@lru_cache(maxsize=None)
+def _general_sums(dec: GDecomposition, d: int, t_max: int, n_max: int) -> dict:
+    """class a -> [total0, total, lo, hi] of the double series, for the classes summed so far.
+
+    Memoised per (dec, d, t_max, n_max); only delta_general_series fills it.
+    """
+    return {}
+
+
+def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationConfig) -> list:
+    """[total0, total, lo, hi] of each class in classes, from one blocked pass.
+
+    The pass runs over the pairs of classes[0], which must hold those of
+    every class listed: [a] alone, or every class with class 0 first, whose
+    pairs hold all others.  Each block computes its degrees, terms, eps
+    split and the part of c_g that reads no b (kummer.entanglement_jumps)
+    once.  A class b then takes its rows (gcd(1 + tb, d) = 1) and columns
+    (gcd(n, d) | b) of the block and applies b at the jumps
+    (kummer.jump_coefficients).  On these keys step (1) of c_g always holds,
+    as gcd(dt, nt) = t gcd(d, n) divides tb, and b = 1 (mod dt) exactly
+    when d | b, so class 0 reads no c_g and an unnamed jump is UNSUPPORTED
+    in every other class.  A term whose c_g is not 1 becomes -0.0, which
+    leaves a running sum unchanged, so each class adds the same terms in the
+    same order as a pass over its own pairs.
+    """
+    dt = _int_dtype(2 * d * (cfg.n_max * cfg.t_max) ** 2)
+    t, n, mun, ell, g1, blocks = _pair_blocks(classes[0], d, cfg, dt)
+    bs = np.array(classes)
+    sums = np.zeros((len(bs), 4))
+    for i, j, philt in blocks:
+        tb = t[i]
+        width = len(n[j])
+        v = _outer(tb, n[j])
+        eps2 = eps2s(dec, _outer(tb, ell[j]), v)
+        term = _terms(np.tile(mun[j], len(tb)), kummer_degrees(dec, v, philt, eps2))
+        if bs.any():  # class 0 alone reads no c_g
+            rows = np.gcd(np.multiply.outer(bs, tb) + 1, d) == 1
+            cols = np.remainder.outer(bs, g1[j]) == 0
+            at, q = entanglement_jumps(dec, np.repeat(d * tb, width), v, eps2)
+            unnamed, named, q = at[q == 0], at[q != 0], q[q != 0]
+            # kept[0] every term, kept[1] those c_g keeps before the named
+            # jumps; lohi[0] the negative UNSUPPORTED terms, lohi[1] the
+            # positive ones
+            kept = np.array((term, term))
+            kept[1, unnamed] = -0.0
+            grid = kept.reshape(2, len(tb), width)
+            und = term[unnamed]
+            lohi = np.array((np.where(und < 0, und, -0.0), np.where(und > 0, und, -0.0)))
+            ur, uc = np.divmod(unnamed, width)
+        for k, b in enumerate(classes):
+            acc = sums[k]
+            if b == 0:
+                x = term.copy()
+                x[0] += acc[0]
+                acc[:2] = np.cumsum(x)[-1]
+                continue
+            fail = None
+            if len(named):
+                r, c = np.divmod(named, width)
+                inb = rows[k, r] & cols[k, c]
+                fail = named[inb][jump_coefficients(1 + tb[r[inb]] * b, q[inb]) == 0]
+                kept[1, fail] = -0.0
+            x = grid.take(np.flatnonzero(rows[k]), axis=1).take(np.flatnonzero(cols[k]), axis=2)
+            if fail is not None:
+                kept[1, fail] = term[fail]
+            # (total0, total) over the class's pairs, (lo, hi) over its unnamed jumps
+            for z, s in ((x.reshape(2, -1), 0), (lohi[:, rows[k, ur] & cols[k, uc]], 2)):
+                if z.size:
+                    z[:, 0] += acc[s : s + 2]
+                    acc[s : s + 2] = np.cumsum(z, axis=1)[:, -1]
+    return sums.tolist()
 
 
 def delta_general_series(
@@ -272,32 +388,24 @@ def delta_general_series(
     contribute an interval; delta then carries lo/hi brackets around the
     truncated sum.
 
-    The pairs are summed in blocks of at most BLOCK pairs, in loop order, so
-    every sum equals the scalar (t, n) loop's.  The integers are int64 when
-    the degree numerators, at most 2*d*(n_max*t_max)^2, stay below 2^63,
-    else Python ints.  Each block computes eps2s at (lcm(d, n)t, nt) once;
-    the degrees and kummer.entanglement_coefficients both read it, since
-    lcm(dt, nt) = lcm(d, n)t.
+    The sums come from _general_sums.  A class of a key it holds no class
+    of is summed alone, over its own pairs; any other class missing there
+    is summed with every class of d in one _general_pass over class 0's
+    pairs, when d <= SHARED_CLASSES.  The pairs are summed in blocks of at
+    most BLOCK pairs, in loop order, so every sum equals the scalar (t, n)
+    loop's.  The integers are int64 when the degree numerators, at most
+    2*d*(n_max*t_max)^2, stay below 2^63, else Python ints.  Each block
+    computes eps2s at (lcm(d, n)t, nt) once; the degrees and
+    kummer.entanglement_jumps both read it, since lcm(dt, nt) = lcm(d, n)t.
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
     a %= d
-    dt = _int_dtype(2 * d * (cfg.n_max * cfg.t_max) ** 2)
-    t, n, mun, ell, blocks = _pair_blocks(a, d, cfg, dt)
-    total0 = 0.0
-    total = 0.0
-    lo = 0.0
-    hi = 0.0
-    for i, j, philt in blocks:
-        v = n[j] * t[i]
-        eps2 = eps2s(dec, ell[j] * t[i], v)
-        term = _terms(mun[j], kummer_degrees(dec, v, philt, eps2))
-        c = entanglement_coefficients(dec, 1 + t[i] * a, d * t[i], v, eps2)
-        undecided = c < 0
-        total0 = _running_sum(total0, term)
-        total = _running_sum(total, term[c == 1])
-        lo = _running_sum(lo, term[undecided & (term < 0)])
-        hi = _running_sum(hi, term[undecided & (term > 0)])
+    sums = _general_sums(dec, d, cfg.t_max, cfg.n_max)
+    if a not in sums:
+        classes = list(range(d)) if sums and d <= SHARED_CLASSES else [a]
+        sums.update(zip(classes, _general_pass(dec, d, classes, cfg)))
+    total0, total, lo, hi = sums[a]
     tail = _HEURISTIC_C * dec.h * d * (1.0 / cfg.t_max + 1.0 / cfg.n_max)
     d0 = DensityValue(total0, tail, False, "series")
     if lo == 0.0 and hi == 0.0:

@@ -521,13 +521,71 @@ def test_general_series_matches_scalar_oracle(g):
 
 
 def test_general_series_blocks_split_pairs_of_one_t(monkeypatch):
-    # blocks of 1 and 7 pairs end in the middle of a t's run of n
+    # blocks of 1 and 7 pairs end in the middle of a t's run of n; the memo
+    # is cleared so that each block size sums afresh
     cases = [(g, d, a) for g in (2, -4, Fraction(1, 2)) for d in (6, 8) for a in range(d)]
     want = {c: _general_series_oracle(decompose(c[0]), c[2], c[1], 40, 40) for c in cases}
     for block in (1, 7):
         monkeypatch.setattr(series, "BLOCK", block)
+        series._general_sums.cache_clear()
         for g, d, a in cases:
             assert _series_outputs(decompose(g), a, d, 40, 40) == want[g, d, a], (block, g, d, a)
+
+
+def _cold_outputs(dec, a, d, T, N):
+    series._general_sums.cache_clear()
+    return _series_outputs(dec, a, d, T, N)
+
+
+@pytest.mark.parametrize("block, T", [(1, 12), (7, 12), (series.BLOCK, 30)])
+def test_general_series_shared_pass_matches_cold_classes(monkeypatch, block, T):
+    # a class summed alone (memo cleared) and the same class read from the
+    # pass a second class runs over class 0's pairs for every class agree
+    # bit for bit, and with the scalar loop
+    monkeypatch.setattr(series, "BLOCK", block)
+    N = T
+    bracketed = 0
+    for g in (2, -4, Fraction(1, 2), 5, -7, 21, -15):
+        dec = decompose(g)
+        for d in (4, 6, 8, 10, 12, 15, 24):
+            cold = [_cold_outputs(dec, a, d, T, N) for a in range(d)]
+            series._general_sums.cache_clear()
+            shared = [_series_outputs(dec, a, d, T, N) for a in (0, 1)]
+            assert len(series._general_sums(dec, d, T, N)) == d
+            shared += [_series_outputs(dec, a, d, T, N) for a in range(2, d)]
+            for a in range(d):
+                want = _general_series_oracle(dec, a, d, T, N)
+                assert cold[a] == shared[a] == want, (g, d, a)
+                bracketed += want[2] is not None
+    assert bracketed
+
+
+def test_general_series_single_class_stays_single(monkeypatch):
+    # a cold class-1 request at d = 6 visits class 1's pairs, |T_1| * |N_1|
+    # of them, and fills no other class
+    T = N = 300
+    visited = []
+    pair_blocks = series._pair_blocks
+
+    def counting(*args):
+        *arrays, blocks = pair_blocks(*args)
+
+        def tally():
+            for block in blocks:
+                visited[-1] += len(block[2])
+                yield block
+
+        visited.append(0)
+        return (*arrays, tally())
+
+    monkeypatch.setattr(series, "_pair_blocks", counting)
+    series._general_sums.cache_clear()
+    dec = decompose(2)
+    delta_general_series(dec, 1, 6, TruncationConfig(t_max=T, n_max=N))
+    t1 = sum(math.gcd(1 + t, 6) == 1 for t in range(1, T + 1))
+    n1 = sum(moebius(n) != 0 and math.gcd(n, 6) == 1 for n in range(1, N + 1))
+    assert visited == [t1 * n1]
+    assert list(series._general_sums(dec, 6, T, N)) == [1]
 
 
 def test_general_series_exact_beyond_int64():
@@ -553,9 +611,12 @@ def test_general_series_memory_bounded():
     # arrays; the blocks keep the peak of the Python heap under 4 MB
     cfg = TruncationConfig(t_max=3000, n_max=3000)
     tables(3000)
+    series._general_sums.cache_clear()
     tracemalloc.start()
     try:
+        # class 0 alone, then every class in one pass
         delta_general_series(decompose(2), 0, 6, cfg)
+        delta_general_series(decompose(2), 1, 6, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,12 +11,14 @@ from ordense.kummer import (
     _eps2,
     entanglement_coefficient,
     entanglement_coefficients,
+    entanglement_jumps,
     eps2s,
     intersection_degree,
+    jump_coefficients,
     kummer_degree,
     kummer_degrees,
 )
-from ordense.sieve import primes_upto
+from ordense.sieve import primes_upto, tables
 
 G_PANEL = [
     2, 3, 5, 6, 7, 8, 10, 27, -2, -3, -4, -5, -8, -27, 4, 9,
@@ -432,6 +434,48 @@ def _degree_ratio(dec, q, v, phi_v):
     split = eps2s(dec, q * v, v) == 2 * eps2s(dec, v, v)
     assert (split == (num == 2 * den)).all()
     return num // den
+
+
+def _series_keys(d_max, t_max, n_max):
+    """(b, f, v, a, d) at every key of the double series: b = 1 + ta, f = dt,
+    v = nt for d <= d_max, a mod d, t <= t_max with gcd(1 + ta, d) = 1 and
+    squarefree n <= n_max with gcd(n, d) | a."""
+    _, mu = tables(n_max)
+    sqf = 1 + np.flatnonzero(mu[1 : n_max + 1])
+    out = []
+    for d in range(2, d_max + 1):
+        for a in range(d):
+            t = np.arange(1, t_max + 1)
+            t = t[np.gcd(1 + t * a, d) == 1]
+            n = sqf[a % np.gcd(sqf, d) == 0]
+            t, n = np.repeat(t, len(n)), np.tile(n, len(t))
+            out.append([1 + t * a, d * t, n * t, np.full(len(t), a), np.full(len(t), d)])
+    return np.concatenate(out, axis=1)
+
+
+def test_series_keys_split_cg_into_jumps_and_b():
+    # the lemma the double series relies on: on its keys step (1) of c_g
+    # always holds and b = 1 (mod f) exactly when d | a, so c_g is 1 away
+    # from the jumps (entanglement_jumps, which read no b) and
+    # jump_coefficients decides the rest; both forms agree with that split
+    b, f, v, a, d = _series_keys(30, 60, 60)
+    assert ((b - 1) % np.gcd(f, v) == 0).all()
+    assert np.array_equal((b - 1) % f == 0, a == 0)
+    seen = set()
+    for g in (2, -4, Fraction(1, 2), 5, -7, 21, -15, 12):
+        dec = decompose(g)
+        eps2 = eps2s(dec, np.lcm(f, v), v)
+        at, q = entanglement_jumps(dec, f, v, eps2)
+        at, q = at[a[at] != 0], q[a[at] != 0]
+        split = np.ones(len(b), dtype=np.int64)
+        split[at] = jump_coefficients(b[at], q)
+        assert np.array_equal(split, entanglement_coefficients(dec, b, f, v, eps2)), g
+        # the scalar at every third jump and every 31st key
+        for k in np.union1d(at[::3], np.arange(0, len(b), 31)).tolist():
+            assert split[k] == _cg_int(dec, int(b[k]), int(f[k]), int(v[k])), (g, k)
+        seen.update(zip(split[at].tolist(), (q != 0).tolist()))
+    # UNSUPPORTED, and both answers of step (3)
+    assert seen == {(-1, False), (0, True), (1, True)}
 
 
 def test_sqrt_qstar_array_matches_scalar():
