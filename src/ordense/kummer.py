@@ -19,12 +19,14 @@ extension of it.  When the jump comes from a single odd prime q (f may be
 composite, as f = 15 for g = 5), the extension is Q(sqrt(q*)) with
 q* = (-1|q) * q, and b acts on it by (q*|b) = (b|q).  Any other jump is
 UNSUPPORTED rather than guessed.  entanglement_coefficient decides one key,
-for the cg command and as the tests' oracle; entanglement_coefficients
-decides whole arrays from the split eps2s that the double series also takes
-its degrees from.  It reads b only in step (1), the b = 1 (mod f) shortcut
-and jump_coefficients; entanglement_jumps, the jumps of step (2) and the
-primes of step (3) that name them, reads none, so the double series takes
-it once per block and applies each residue class's b to it.
+for the cg command and as the tests' oracle.  Whole arrays are decided in
+two parts, from the split eps2s that the double series also takes its
+degrees from: entanglement_jumps, the jumps of step (2) and the primes of
+step (3) that name them, reads no b, so the double series takes it once
+per block; jump_coefficients then applies each residue class's b at the
+jumps.  Step (1) and the b = 1 (mod f) shortcut are left to the caller:
+on the double series' keys the first always holds and the second holds
+exactly in class 0.
 
 n_1 = n_r(dec, 1) names q: for an odd prime q not dividing v, sqrt(q*) lies
 in K(v, v), that is eps2(qv, v) = 2 eps2(v, v), exactly when
@@ -54,7 +56,6 @@ __all__ = [
     "kummer_degrees",
     "intersection_degree",
     "entanglement_coefficient",
-    "entanglement_coefficients",
     "entanglement_jumps",
     "jump_coefficients",
 ]
@@ -182,23 +183,6 @@ def entanglement_coefficient(dec: GDecomposition, b: int, f: int, v: int):
     if q % 2 == 0 or f % q or not is_prime(q):
         return UNSUPPORTED
     return (1 + kronecker(b, q)) // 2
-
-
-def entanglement_coefficients(
-    dec: GDecomposition, b: np.ndarray, f: np.ndarray, v: np.ndarray, eps2: np.ndarray
-) -> np.ndarray:
-    """entanglement_coefficient elementwise as int64, -1 for UNSUPPORTED.
-
-    b, f and v are positive with gcd(b, f) = 1, int64 where lcm(f, v) fits
-    and Python ints otherwise; eps2 = eps2s(dec, lcm(f, v), v) is the split
-    step (2) reads.  Steps (2) and (3) read no b (entanglement_jumps); step
-    (1), the b = 1 (mod f) shortcut and jump_coefficients read b.
-    """
-    c = ((b - 1) % np.gcd(f, v) == 0).astype(np.int64)
-    at, q = entanglement_jumps(dec, f, v, eps2)
-    keep = (c[at] == 1) & ((b[at] - 1) % f[at] != 0)  # b = 1 (mod f) fixes all of Q(zeta_f)
-    c[at[keep]] = jump_coefficients(b[at[keep]], q[keep])
-    return c
 
 
 def entanglement_jumps(

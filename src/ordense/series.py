@@ -70,12 +70,14 @@ _HEURISTIC_C = 8.0
 # pairs per block of the (t, n) double series: bounds its arrays, so their
 # size stays flat in t_max and n_max
 BLOCK = 1 << 12
-# the most classes one pass of the double series sums together: each adds
-# its own running sums to every block, so a pass over all d classes costs
-# about 1 + d/5 passes over class 0 alone (1.9 at d = 6, 14 at d = 64, for
-# T = N = 300); verify asks for all d, but two requests at a large d would
-# pay for every class
-SHARED_CLASSES = 64
+# the largest d whose classes one pass of the double series sums together.
+# It guards memory only: the memo keeps about 250 bytes per class, so a
+# key's d classes stay within 1 MB, a quarter of the 4 MB a pass is held to.
+# Sharing pays off for verify, the one caller that asks for more than one
+# class (it asks for all d), at every d measured: at T = N = 300, all
+# classes of d = 256 took 0.35 s shared against 1.7 s one at a time, and of
+# d = 1024 1.3 s against 7.4 s
+SHARED_CLASSES = 1 << 12
 
 
 def zero_class_series(dec: GDecomposition, q: int) -> DensityValue:
@@ -318,7 +320,8 @@ def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationCon
     pairs hold all others.  Each block computes its degrees, terms, eps
     split and the part of c_g that reads no b (kummer.entanglement_jumps)
     once.  A class b then takes its rows (gcd(1 + tb, d) = 1) and columns
-    (gcd(n, d) | b) of the block and applies b at the jumps
+    (gcd(n, d) | b) of the block, masks it forms in its own turn so that
+    a block's arrays do not grow with d, and applies b at the jumps
     (kummer.jump_coefficients).  On these keys step (1) of c_g always holds,
     as gcd(dt, nt) = t gcd(d, n) divides tb, and b = 1 (mod dt) exactly
     when d | b, so class 0 reads no c_g and an unnamed jump is UNSUPPORTED
@@ -328,19 +331,17 @@ def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationCon
     """
     dt = _int_dtype(2 * d * (cfg.n_max * cfg.t_max) ** 2)
     t, n, mun, ell, g1, blocks = _pair_blocks(classes[0], d, cfg, dt)
-    bs = np.array(classes)
-    sums = np.zeros((len(bs), 4))
+    sums = np.zeros((len(classes), 4))
     for i, j, philt in blocks:
         tb = t[i]
         width = len(n[j])
         v = _outer(tb, n[j])
         eps2 = eps2s(dec, _outer(tb, ell[j]), v)
         term = _terms(np.tile(mun[j], len(tb)), kummer_degrees(dec, v, philt, eps2))
-        if bs.any():  # class 0 alone reads no c_g
-            rows = np.gcd(np.multiply.outer(bs, tb) + 1, d) == 1
-            cols = np.remainder.outer(bs, g1[j]) == 0
+        if any(classes):  # class 0 alone reads no c_g
             at, q = entanglement_jumps(dec, np.repeat(d * tb, width), v, eps2)
             unnamed, named, q = at[q == 0], at[q != 0], q[q != 0]
+            nr, nc = np.divmod(named, width)
             # kept[0] every term, kept[1] those c_g keeps before the named
             # jumps; lohi[0] the negative UNSUPPORTED terms, lohi[1] the
             # positive ones
@@ -357,17 +358,18 @@ def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationCon
                 x[0] += acc[0]
                 acc[:2] = np.cumsum(x)[-1]
                 continue
+            rows = np.gcd(tb * b + 1, d) == 1
+            cols = b % g1[j] == 0
             fail = None
             if len(named):
-                r, c = np.divmod(named, width)
-                inb = rows[k, r] & cols[k, c]
-                fail = named[inb][jump_coefficients(1 + tb[r[inb]] * b, q[inb]) == 0]
+                inb = rows[nr] & cols[nc]
+                fail = named[inb][jump_coefficients(1 + tb[nr[inb]] * b, q[inb]) == 0]
                 kept[1, fail] = -0.0
-            x = grid.take(np.flatnonzero(rows[k]), axis=1).take(np.flatnonzero(cols[k]), axis=2)
+            x = grid.take(np.flatnonzero(rows), axis=1).take(np.flatnonzero(cols), axis=2)
             if fail is not None:
                 kept[1, fail] = term[fail]
             # (total0, total) over the class's pairs, (lo, hi) over its unnamed jumps
-            for z, s in ((x.reshape(2, -1), 0), (lohi[:, rows[k, ur] & cols[k, uc]], 2)):
+            for z, s in ((x.reshape(2, -1), 0), (lohi[:, rows[ur] & cols[uc]], 2)):
                 if z.size:
                     z[:, 0] += acc[s : s + 2]
                     acc[s : s + 2] = np.cumsum(z, axis=1)[:, -1]

@@ -560,10 +560,8 @@ def test_general_series_shared_pass_matches_cold_classes(monkeypatch, block, T):
     assert bracketed
 
 
-def test_general_series_single_class_stays_single(monkeypatch):
-    # a cold class-1 request at d = 6 visits class 1's pairs, |T_1| * |N_1|
-    # of them, and fills no other class
-    T = N = 300
+def _counting_pair_blocks(monkeypatch):
+    """Wraps series._pair_blocks; the list it returns gets the pairs each pass visits."""
     visited = []
     pair_blocks = series._pair_blocks
 
@@ -579,13 +577,43 @@ def test_general_series_single_class_stays_single(monkeypatch):
         return (*arrays, tally())
 
     monkeypatch.setattr(series, "_pair_blocks", counting)
+    return visited
+
+
+def _class_pairs(a, d, T, N):
+    """|T_a| * |N_a|, the (t, n) pairs of class a."""
+    ta = sum(math.gcd(1 + t * a, d) == 1 for t in range(1, T + 1))
+    na = sum(moebius(n) != 0 and a % math.gcd(n, d) == 0 for n in range(1, N + 1))
+    return ta * na
+
+
+def test_general_series_single_class_stays_single(monkeypatch):
+    # a cold class-1 request at d = 6 visits class 1's pairs, |T_1| * |N_1|
+    # of them, and fills no other class
+    T = N = 300
+    visited = _counting_pair_blocks(monkeypatch)
     series._general_sums.cache_clear()
     dec = decompose(2)
     delta_general_series(dec, 1, 6, TruncationConfig(t_max=T, n_max=N))
-    t1 = sum(math.gcd(1 + t, 6) == 1 for t in range(1, T + 1))
-    n1 = sum(moebius(n) != 0 and math.gcd(n, 6) == 1 for n in range(1, N + 1))
-    assert visited == [t1 * n1]
+    assert visited == [_class_pairs(1, 6, T, N)]
     assert list(series._general_sums(dec, 6, T, N)) == [1]
+
+
+@pytest.mark.parametrize("d, cap", [(6, 5), (3 * 2**42, series.SHARED_CLASSES)])
+def test_general_series_above_shared_classes_sums_each_class_alone(monkeypatch, d, cap):
+    # above SHARED_CLASSES every class asked for is summed alone over its
+    # own pairs, the second and third too, and the memo holds only those
+    # classes: at d = 3 * 2^42 a list of every class could not be built
+    monkeypatch.setattr(series, "SHARED_CLASSES", cap)
+    visited = _counting_pair_blocks(monkeypatch)
+    series._general_sums.cache_clear()
+    dec = decompose(2)
+    T = N = 40
+    asked = [1, 0, 5]
+    for a in asked:
+        assert _series_outputs(dec, a, d, T, N) == _general_series_oracle(dec, a, d, T, N), a
+    assert visited == [_class_pairs(a, d, T, N) for a in asked]
+    assert sorted(series._general_sums(dec, d, T, N)) == sorted(asked)
 
 
 def test_general_series_exact_beyond_int64():
@@ -618,9 +646,19 @@ def test_general_series_memory_bounded():
         delta_general_series(decompose(2), 0, 6, cfg)
         delta_general_series(decompose(2), 1, 6, cfg)
         peak = tracemalloc.get_traced_memory()[1]
+        # then the most classes one pass fills, whose memo stays under the
+        # bound as well
+        d = series.SHARED_CLASSES
+        small = TruncationConfig(t_max=12, n_max=12)
+        tracemalloc.reset_peak()
+        delta_general_series(decompose(2), 0, d, small)
+        delta_general_series(decompose(2), 1, d, small)
+        peak_d = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+    assert peak_d < 4 * 2**20, peak_d
+    assert len(series._general_sums(decompose(2), d, 12, 12)) == d
 
 
 def _avg_series_oracle(a, d, T, N):

@@ -10,7 +10,6 @@ from ordense.kummer import (
     UNSUPPORTED,
     _eps2,
     entanglement_coefficient,
-    entanglement_coefficients,
     entanglement_jumps,
     eps2s,
     intersection_degree,
@@ -301,8 +300,17 @@ def test_cg_reads_b_mod_f_and_gcd_v_kf():
     assert seen == {-1, 0, 1}
 
 
-def _cg_array(dec, b, f, v):
-    return entanglement_coefficients(dec, b, f, v, eps2s(dec, np.lcm(f, v), v))
+def _cg_array(dec, b, f, v, eps2=None):
+    """c_g elementwise as int64, -1 for UNSUPPORTED, composed from the split
+    the double series runs: step (1) and the b = 1 (mod f) shortcut here,
+    then entanglement_jumps and jump_coefficients at the jumps past them."""
+    if eps2 is None:
+        eps2 = eps2s(dec, np.lcm(f, v), v)
+    c = ((b - 1) % np.gcd(f, v) == 0).astype(np.int64)
+    at, q = entanglement_jumps(dec, f, v, eps2)
+    keep = (c[at] == 1) & ((b[at] - 1) % f[at] != 0)
+    c[at[keep]] = jump_coefficients(b[at[keep]], q[keep])
+    return c
 
 
 def test_entanglement_coefficients_over_kf_keys():
@@ -469,7 +477,7 @@ def test_series_keys_split_cg_into_jumps_and_b():
         at, q = at[a[at] != 0], q[a[at] != 0]
         split = np.ones(len(b), dtype=np.int64)
         split[at] = jump_coefficients(b[at], q)
-        assert np.array_equal(split, entanglement_coefficients(dec, b, f, v, eps2)), g
+        assert np.array_equal(split, _cg_array(dec, b, f, v, eps2)), g
         # the scalar at every third jump and every 31st key
         for k in np.union1d(at[::3], np.arange(0, len(b), 31)).tolist():
             assert split[k] == _cg_int(dec, int(b[k]), int(f[k]), int(v[k])), (g, k)
