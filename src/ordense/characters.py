@@ -118,17 +118,12 @@ class DirichletCharacter:
         self.index = index % group.phi
         self.order = group.phi // math.gcd(self.index, group.phi)
 
-    def exponent(self, n: int) -> int | None:
-        """k with chi(n) = exp(2*pi*i*k/phi), or None when chi(n) = 0."""
-        n %= self.modulus
-        dl = self._group.dlog[n]
-        if dl < 0:
-            return None
-        return (self.index * dl) % self.phi
-
     def __call__(self, n: int) -> complex:
-        k = self.exponent(n)
-        return 0j if k is None else complex(self._group.roots[k])
+        """chi(n) = exp(2*pi*i*index*dlog(n)/phi), or 0 when gcd(n, modulus) > 1."""
+        dl = self._group.dlog[n % self.modulus]
+        if dl < 0:
+            return 0j
+        return complex(self._group.roots[(self.index * dl) % self.phi])
 
     def value_table(self) -> np.ndarray:
         """chi on residues 0..modulus-1 as complex128 (0 on non-units), built on each call."""

@@ -10,6 +10,10 @@ Subcommands expose every evaluator plus the empirical harness:
     constants  --q <odd prime power> [--pmax <int>]
     census     --q <odd prime> --x <int>
 
+A g that starts with "-" and is not a plain number, such as -1/3, is
+written --g=-1/3: argparse reads only -N and -N.N as negative numbers, and
+takes "--g -1/3" for an option missing its value.
+
 Output is JSON by default (schema 2, fixed key order, each float in Python's
 shortest round-trip form, so identical requests serialize byte-identically),
 or CSV/plain text via --format.  Exit codes: 0 success, 2 validation error,

@@ -12,15 +12,17 @@ never a guess.
 The series read their phi and mu tables from ordense.sieve.tables, and
 their Kummer degrees and the coefficients c_g from ordense.kummer.  Both
 series are numpy arrays over bounded blocks: the (t, n) double series sums
-BLOCK pairs at a time, the level-q v-series a block of v with at most
-V_CELLS (v, class) cells.  Each block computes the eps case split once,
+at most BLOCK pairs at a time, rows of t cut by one span rule
+(_pair_blocks), the level-q v-series a block of v with at most V_CELLS
+(v, class) cells.  Each block computes the eps case split once,
 with kummer.eps2s, and reads from it its degrees (kummer_degrees), at level
 q also sqrt(q*) in K(v, v) as eps2(qv, v) = 2 eps2(v, v), and in the double
 series also the part of c_g that reads no b (kummer.entanglement_jumps).
 Their integer arrays are int64 whenever the integers each series forms fit
 (below 4q v_max^2 at level q): kummer reads n_r from ordense.decomp and
 skips any modulus too large to divide.  Each series adds its terms in the
-order of the scalar loop it replaced, so its sums are bit-identical to it.
+order of the scalar loop it replaced, every block through one seeded sum,
+_running_sum, so its sums are bit-identical to that loop.
 
 Both series sum every residue class at once where they can, and memoise
 the sums per argument: _level_q_accumulators every class mod q, and
@@ -157,8 +159,8 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
     block's (v, class) matrix has at most V_CELLS cells (q cells when q
     exceeds V_CELLS).  The sums are exactly the scalar loop over v in
     increasing order: M is an exact integer matrix, each M_r(v) * w(v) is
-    the one float product the loop forms, and a column cumsum seeded with
-    the running sums adds the products left to right; a class with
+    the one float product the loop forms, and _running_sum, seeded with the
+    running sums, adds each class's products left to right; a class with
     M_r(v) = 0 or a v outside the sqrt(q*) support adds a signed 0.0, which
     leaves a running sum unchanged.  The integers are int64 when the degree
     numerators 2(q-1)phi(v)v, below 4q v_max^2, fit, else Python ints.
@@ -178,10 +180,10 @@ def _level_q_accumulators(dec: GDecomposition, q: int, v_max: int):
         eps2 = eps2s(dec, q * v, v)
         w1 = np.asarray(1.0 / kummer_degrees(dec, v, (q - 1) * phi_v, eps2), dtype=np.float64)
         counts = _class_counts(vs, q, mu)
-        acc1 = np.cumsum(np.vstack((acc1, counts * w1[:, None])), axis=0)[-1]
+        acc1 = _running_sum(acc1, (counts * w1[:, None]).T)
         if qdiv:
             w2 = np.where(eps2 == 2 * eps2s(dec, v, v), w1, 0.0)
-            acc2 = np.cumsum(np.vstack((acc2, counts * w2[:, None])), axis=0)[-1]
+            acc2 = _running_sum(acc2, (counts * w2[:, None]).T)
     return acc1.tolist(), acc2.tolist()
 
 
@@ -227,12 +229,12 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
     """The (t, n) pairs both double series sum over, as arrays of dtype dt.
 
     Keeps the t <= t_max with gcd(1 + ta, d) = 1 and the squarefree
-    n <= n_max with gcd(n, d) | a.  Returns (t, n, mu(n), ell = lcm(d, n),
-    gcd(n, d), blocks): blocks yields (i, j, philt) for runs of at most
-    BLOCK consecutive pairs in loop order (t outer, n inner), the pairs
-    (t[i], n[j]) row by row for slices i and j, with philt the flat array of
-    phi(ell[j] * t[i]).  A block holds the whole runs of n of consecutive t,
-    or part of one run when a run exceeds BLOCK.
+    n <= n_max with gcd(n, d) | a (n = 1 always).  Returns (t, n,
+    ell = lcm(d, n), gcd(n, d), blocks): blocks yields (i, j, v, mun, philt),
+    the pairs (t[i], n[j]) row by row for slices i and j with the flat
+    arrays v = t n, mu(n) and phi(ell[j] * t[i]).  One span rule cuts them
+    in loop order (t outer, n inner), at most BLOCK pairs a block: rows of
+    max(1, BLOCK // len(n)) t, each row cut into runs of at most BLOCK n.
     """
     limit = max(cfg.t_max, cfg.n_max)
     phi, mu = tables(limit)
@@ -247,31 +249,18 @@ def _pair_blocks(a: int, d: int, cfg: TruncationConfig, dt):
     t = np.arange(1, cfg.t_max + 1).astype(dt)
     t = t[np.gcd(1 + t * a, d) == 1]
     phit = phi[t.astype(np.intp)]
-    width = len(n)
-
-    def spans():
-        rows = BLOCK // width
-        if rows:
-            for i0 in range(0, len(t), rows):
-                yield slice(i0, i0 + rows), slice(None)
-        else:
-            for i0 in range(len(t)):
-                for j0 in range(0, width, BLOCK):
-                    yield slice(i0, i0 + 1), slice(j0, j0 + BLOCK)
+    rows = max(1, BLOCK // len(n))
 
     def blocks():
-        if not width:
-            return
-        for i, j in spans():
-            g2 = np.gcd(ell[j], t[i, None])
-            yield i, j, (phil[j] * phit[i, None] * g2 // phi[g2.astype(np.intp)]).ravel()
+        for i0 in range(0, len(t), rows):
+            i = slice(i0, i0 + rows)
+            for j0 in range(0, len(n), BLOCK):
+                j = slice(j0, j0 + BLOCK)
+                g2 = np.gcd(ell[j], t[i, None])
+                philt = phil[j] * phit[i, None] * g2 // phi[g2.astype(np.intp)]
+                yield i, j, (t[i, None] * n[j]).ravel(), np.tile(mun[j], len(t[i])), philt.ravel()
 
-    return t, n, mun, ell, g1, blocks()
-
-
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[r] * y[c] over the pairs (r, c) in row order, as a flat array."""
-    return np.multiply.outer(x, y).ravel()
+    return t, n, ell, g1, blocks()
 
 
 def _terms(mun: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -284,23 +273,26 @@ def _terms(mun: np.ndarray, deg: np.ndarray) -> np.ndarray:
     return term
 
 
-def _running_sum(start: float, x: np.ndarray) -> float:
-    """start + x[0] + x[1] + ..., added left to right as a scalar loop adds."""
-    if not len(x):
-        return start
-    return float(np.cumsum(np.concatenate(([start], x)))[-1])
+def _running_sum(start: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """start + x[..., 0] + x[..., 1] + ..., along the last axis, added left to right.
+
+    start is a scalar or holds one start per row of x; each row is added as
+    a scalar loop adds it, so an empty row returns its start and -0.0 terms
+    leave a +0.0 start +0.0.
+    """
+    return np.cumsum(np.concatenate((np.asarray(start)[..., None], x), -1), -1)[..., -1]
 
 
 def delta_avg_series(a: int, d: int, cfg: TruncationConfig = DEFAULT_CONFIG) -> DensityValue:
     """The g-free average density delta(a, d) by the truncated double series."""
     # no g anywhere: the degree is philt * n * t
     dt = _int_dtype(d * (cfg.n_max * cfg.t_max) ** 2)
-    t, n, mun, _, _, blocks = _pair_blocks(a, d, cfg, dt)
+    *_, blocks = _pair_blocks(a, d, cfg, dt)
     total = 0.0
-    for i, j, philt in blocks:
-        total = _running_sum(total, _terms(np.tile(mun[j], len(t[i])), philt * _outer(t[i], n[j])))
+    for _, _, v, mun, philt in blocks:
+        total = _running_sum(total, _terms(mun, philt * v))
     tail = _HEURISTIC_C * d * (1.0 / cfg.t_max + 1.0 / cfg.n_max)
-    return DensityValue(total, tail, False, "series")
+    return DensityValue(float(total), tail, False, "series")
 
 
 @lru_cache(maxsize=None)
@@ -330,14 +322,13 @@ def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationCon
     same order as a pass over its own pairs.
     """
     dt = _int_dtype(2 * d * (cfg.n_max * cfg.t_max) ** 2)
-    t, n, mun, ell, g1, blocks = _pair_blocks(classes[0], d, cfg, dt)
+    t, n, ell, g1, blocks = _pair_blocks(classes[0], d, cfg, dt)
     sums = np.zeros((len(classes), 4))
-    for i, j, philt in blocks:
+    for i, j, v, mun, philt in blocks:
         tb = t[i]
         width = len(n[j])
-        v = _outer(tb, n[j])
-        eps2 = eps2s(dec, _outer(tb, ell[j]), v)
-        term = _terms(np.tile(mun[j], len(tb)), kummer_degrees(dec, v, philt, eps2))
+        eps2 = eps2s(dec, (tb[:, None] * ell[j]).ravel(), v)
+        term = _terms(mun, kummer_degrees(dec, v, philt, eps2))
         if any(classes):  # class 0 alone reads no c_g
             at, q = entanglement_jumps(dec, np.repeat(d * tb, width), v, eps2)
             unnamed, named, q = at[q == 0], at[q != 0], q[q != 0]
@@ -354,9 +345,7 @@ def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationCon
         for k, b in enumerate(classes):
             acc = sums[k]
             if b == 0:
-                x = term.copy()
-                x[0] += acc[0]
-                acc[:2] = np.cumsum(x)[-1]
+                acc[:2] = _running_sum(acc[0], term)
                 continue
             rows = np.gcd(tb * b + 1, d) == 1
             cols = b % g1[j] == 0
@@ -369,10 +358,8 @@ def _general_pass(dec: GDecomposition, d: int, classes: list, cfg: TruncationCon
             if fail is not None:
                 kept[1, fail] = term[fail]
             # (total0, total) over the class's pairs, (lo, hi) over its unnamed jumps
-            for z, s in ((x.reshape(2, -1), 0), (lohi[:, rows[ur] & cols[uc]], 2)):
-                if z.size:
-                    z[:, 0] += acc[s : s + 2]
-                    acc[s : s + 2] = np.cumsum(z, axis=1)[:, -1]
+            acc[:2] = _running_sum(acc[:2], x.reshape(2, -1))
+            acc[2:] = _running_sum(acc[2:], lohi[:, rows[ur] & cols[uc]])
     return sums.tolist()
 
 

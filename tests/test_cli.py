@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import ordense.cli
 from ordense.cli import run
-from ordense.density import TruncationConfig
+from ordense.density import TruncationConfig, evaluate_density
 
 
 def _run(argv):
@@ -157,6 +158,21 @@ def test_verify_small():
     assert code == 0
     assert '"ok":true' in out
     assert '"primes_considered":9591' in out
+
+
+def test_negative_rational_g_takes_the_equals_spelling():
+    # argparse reads "-1/3" after "--g" as an option, not a number, so a
+    # negative non-integer g is spelled --g=-1/3
+    code, out, _ = _run(["density", "--g=-1/3", "--a", "1", "--d", "3"])
+    val = evaluate_density(Fraction(-1, 3), 1, 3)
+    assert code == 0
+    assert out == (
+        f'{{"schema":2,"value":{val.value!r},"error_bound":{val.error_bound!r},'
+        '"rigorous":true,"method":"char_form"}\n'
+    )
+    code, out, _ = _run(["verify", "--g=-1/3", "--d", "3", "--x", "1000"])
+    report = json.loads(out)
+    assert code == 0 and report["g"] == "-1/3" and len(report["classes"]) == 3
 
 
 def test_verify_joint():

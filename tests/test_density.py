@@ -685,6 +685,61 @@ def test_avg_series_matches_scalar_oracle():
             ), (d, a)
 
 
+def test_double_series_splits_runs_wider_than_block(monkeypatch):
+    # class 0 at d = 6, N = 7000 keeps 4255 n, more than the default BLOCK,
+    # so each t's run of n is cut into runs of BLOCK, as at the CLI's default
+    # N = 10^4; BLOCK at the kept width and one either side ends a block at,
+    # before and after the end of a row.  T = 6 gives class 1 its t = 4, 6
+    d, T, N = 6, 6, 7000
+    cfg = TruncationConfig(t_max=T, n_max=N)
+    kept = _kept_n(0, d, N)
+    assert len(kept) == 4255 > series.BLOCK
+    dec = decompose(2)
+    want = {a: _general_series_oracle(dec, a, d, T, N) for a in range(d)}
+    want_avg = {a: _avg_series_oracle(a, d, T, N) for a in range(d)}
+    loop_v = [t * n for t in range(1, T + 1) for n, *_ in kept]
+    for block in (series.BLOCK, len(kept) - 1, len(kept), len(kept) + 1):
+        monkeypatch.setattr(series, "BLOCK", block)
+        # the blocks of class 0 hold at most BLOCK pairs and, joined, every
+        # pair in loop order
+        *_, blocks = series._pair_blocks(0, d, cfg, np.int64)
+        vs = [v for _, _, v, _, _ in blocks]
+        assert max(map(len, vs)) <= block
+        assert np.concatenate(vs).tolist() == loop_v
+        # class 0 alone, then every class in one pass over class 0's pairs
+        series._general_sums.cache_clear()
+        for a in range(d):
+            assert _series_outputs(dec, a, d, T, N) == want[a], (block, a)
+            assert delta_avg(a, d, cfg, method="series").value == want_avg[a], (block, a)
+
+
+def _loop_sum(start, xs):
+    total = start
+    for x in xs:
+        total += x
+    return total
+
+
+def test_running_sum_adds_left_to_right():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 50)) * 10.0 ** rng.integers(-8, 9, (2, 50))
+    rows = x.tolist()
+    # the data tell the order apart: an exact sum differs from the loop's
+    assert _loop_sum(0.0, rows[0]) != math.fsum(rows[0])
+    for start in (0.0, 1e-3, -7.5):
+        assert float(series._running_sum(start, x[0])) == _loop_sum(start, rows[0])
+    starts = [0.25, -1e6]
+    got = series._running_sum(np.array(starts), x)
+    assert got.tolist() == [_loop_sum(s, row) for s, row in zip(starts, rows)]
+    # an empty x returns the start
+    assert float(series._running_sum(3.5, np.zeros(0))) == 3.5
+    assert series._running_sum(np.array(starts), np.zeros((2, 0))).tolist() == starts
+    # -0.0 terms leave a +0.0 start +0.0, as the loop does
+    assert math.copysign(1.0, _loop_sum(0.0, [-0.0] * 3)) == 1.0
+    for start, terms in ((0.0, np.full(3, -0.0)), (np.zeros(2), np.full((2, 3), -0.0))):
+        assert (np.copysign(1.0, series._running_sum(start, terms)) == 1.0).all()
+
+
 def test_theorem_equality_when_q_does_not_divide_disc():
     # q not dividing D(g0) forces delta = delta0 exactly
     for g, q in ((2, 3), (2, 5), (5, 3), (8, 5)):
