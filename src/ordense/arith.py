@@ -1,6 +1,7 @@
 """Exact integer and rational arithmetic primitives.
 
-Factorization of 64-bit integers and the odd-prime-power parse built on it,
+Factorization of 64-bit integers (trial division by the Miller-Rabin
+bases, then Pollard rho) and the odd-prime-power parse built on it,
 the classical multiplicative functions (Moebius, Euler phi, p-adic
 valuation), the full Kronecker symbol, and discriminants of quadratic
 fields Q(sqrt(g)) for rational g.
@@ -33,11 +34,11 @@ __all__ = [
 
 _MAX_INPUT = (1 << 63) - 1
 
-# Trial division is capped here; larger cofactors go to Miller-Rabin and
-# Pollard rho.  Every input in this artifact fits in 64 bits, for which the
-# Miller-Rabin base set below is a proven deterministic test.
-_TRIAL_CAP = 1 << 20
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: Miller-Rabin to these bases is a proven test below
+# psi_13 = 3317044064679887385961981 (about 2**81.4; Sorenson and Webster,
+# Math. Comp. 86, 2017), and factorize trial-divides by them.  Above psi_13
+# a True from is_prime means a strong probable prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,16 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid far beyond 2**64)."""
+    """Miller-Rabin to _MR_BASES: proven for n < psi_13 = 3317044064679887385961981
+    (so for every 64-bit n), a strong probable prime test above it."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    # no base divides n, so a composite n would have a factor above 41
+    if n < _MR_BASES[-1] ** 2:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -125,24 +130,13 @@ def factorize(n: int) -> Factorization:
     if not 1 <= n <= _MAX_INPUT:
         raise ValueError(f"factorize expects 1 <= n <= 2**63-1, got {n}")
     fac: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_BASES:
+        if p * p > n:
+            break
         while n % p == 0:
             fac[p] = fac.get(p, 0) + 1
             n //= p
-    # wheel mod 30 trial division
-    d = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    cap = min(_TRIAL_CAP, math.isqrt(n))
-    while d <= cap:
-        if n % d == 0:
-            while n % d == 0:
-                fac[d] = fac.get(d, 0) + 1
-                n //= d
-            cap = min(_TRIAL_CAP, math.isqrt(n))
-        d += increments[i]
-        i = (i + 1) % 8
-    # whatever is left has no factor below min(2**20, sqrt(n))
+    # what is left is 1, a prime, or odd with no prime factor up to 41
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -230,22 +230,33 @@ def _w0(p):
     return -u - u * u / 2.0
 
 
-def _generic_sum(primes: np.ndarray) -> float:
-    """Sum of w_0(p) over the given primes, one chunk of _CHUNK primes at a time."""
+def _series_primes(prime_cutoff: int) -> np.ndarray:
+    """The primes P0 < p <= prime_cutoff: a slice, so a view of the cached primes."""
+    primes = primes_upto(prime_cutoff)
+    return primes[int(np.searchsorted(primes, _SERIES_FROM, side="right")) :]
+
+
+@lru_cache(maxsize=None)
+def _generic_log(prime_cutoff: int) -> float:
+    """Sum of w_0(p) over the primes P0 < p <= prime_cutoff, memoised per cutoff."""
+    primes = _series_primes(prime_cutoff)
     total = 0.0
     for i in range(0, len(primes), _CHUNK):
         total += float(_w0(primes[i : i + _CHUNK].astype(np.float64)).sum())
     return total
 
 
-def _sum_by_class(primes: np.ndarray, modulus: int) -> np.ndarray:
-    """S[m - 1, r] = sum of w_m(p) over the given primes p = r (mod modulus), m = 1, 2.
+@lru_cache(maxsize=None)
+def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
+    """S[m - 1, r] = sum of w_m(p) over the primes P0 < p <= prime_cutoff, p = r
+    (mod modulus), m = 1, 2; memoised per (modulus, cutoff) and read-only.
 
-    w_1 = x + y over every given prime, w_2 = (y^2 - x^2)/2 only over those
+    w_1 = x + y over every such prime, w_2 = (y^2 - x^2)/2 only over those
     <= P1 (the primes are sorted), as in the module docstring.  One bincount
     per weight and chunk of _CHUNK primes, so the temporaries stay bounded
     whatever the number of primes.
     """
+    primes = _series_primes(prime_cutoff)
     sums = np.zeros((2, modulus))
     squares = int(np.searchsorted(primes, _SQUARES_UPTO, side="right"))
     for i in range(0, len(primes), _CHUNK):
@@ -260,28 +271,6 @@ def _sum_by_class(primes: np.ndarray, modulus: int) -> np.ndarray:
         if k > 0:
             x, y = x[:k], y[:k]
             sums[1] += np.bincount(residue[:k], (y * y - x * x) / 2.0, minlength=modulus)
-    return sums
-
-
-def _series_primes(prime_cutoff: int) -> np.ndarray:
-    """The primes P0 < p <= prime_cutoff: a slice, so a view of the cached primes."""
-    primes = primes_upto(prime_cutoff)
-    return primes[int(np.searchsorted(primes, _SERIES_FROM, side="right")) :]
-
-
-@lru_cache(maxsize=None)
-def _generic_log(prime_cutoff: int) -> float:
-    """_generic_sum over the primes P0 < p <= prime_cutoff, memoised per cutoff."""
-    return _generic_sum(_series_primes(prime_cutoff))
-
-
-@lru_cache(maxsize=None)
-def _class_sums(modulus: int, prime_cutoff: int) -> np.ndarray:
-    """_sum_by_class over the primes P0 < p <= prime_cutoff, memoised per (modulus, cutoff).
-
-    Read-only: every character mod the modulus shares the one array.
-    """
-    sums = _sum_by_class(_series_primes(prime_cutoff), modulus)
     sums.flags.writeable = False
     return sums
 

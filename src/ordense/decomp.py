@@ -4,7 +4,8 @@ Every rational g outside {-1, 0, 1} factors uniquely as sign(g) * g0**h with
 g0 > 0 not an exact power of a rational.  The quantities D(g0), m and n_r
 attached to the decomposition drive all Kummer degree formulas downstream.
 decompose is memoised in a bounded LRU cache, so every request for one g
-shares one factorisation and one frozen result.
+shares one factorisation and one frozen result.  check_g is the package's
+one refusal of g in {-1, 0, 1}; the counting functions call it too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from .arith import discriminant_sqrt, factorize, nu2
 
-__all__ = ["GDecomposition", "decompose", "n_r"]
+__all__ = ["GDecomposition", "check_g", "decompose", "n_r"]
 
 
 @dataclass(frozen=True)
@@ -48,20 +49,26 @@ def _exponent_gcd(n: int) -> tuple[int, dict[int, int]]:
     return g, fac
 
 
+def check_g(g: Fraction | int) -> Fraction:
+    """g as a Fraction, refused (ValueError) when it is -1, 0 or 1."""
+    g = Fraction(g)
+    if g in (0, 1, -1):
+        raise ValueError(f"g must avoid -1, 0, 1; got {g}")
+    return g
+
+
 def decompose(g: Fraction | int) -> GDecomposition:
     """Canonical decomposition of g not in {-1, 0, 1}, memoised per rational value.
 
     Equal values share one (frozen) result: decompose(Fraction(4, 2)) is
     decompose(2).
     """
-    return _decompose(Fraction(g))
+    return _decompose(check_g(g))
 
 
 # bounded: a long-lived caller may ask for any number of distinct g
 @lru_cache(maxsize=256)
 def _decompose(g: Fraction) -> GDecomposition:
-    if g == 0 or g == 1 or g == -1:
-        raise ValueError(f"g must avoid -1, 0, 1; got {g}")
     sign = 1 if g > 0 else -1
     num, den = abs(g.numerator), g.denominator
     gn, fn = _exponent_gcd(num)

@@ -57,6 +57,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import require_odd_prime
+from .decomp import check_g
 from .sieve import primes_upto, sieve_primes
 
 __all__ = [
@@ -217,17 +218,10 @@ def sieve_orders(g: Fraction | int, x: int) -> Iterator[OrderRecord]:
     g may be any rational other than -1, 0, 1, of any size.  The first
     record comes from the first kernel block of the first segment.
     """
-    g = _check_g(g)
+    g = check_g(g)
     for _, p, o in _orders(g, x):
         for pi, oi, ii in zip(p.tolist(), o.tolist(), ((p - 1) // o).tolist()):
             yield OrderRecord(pi, oi, ii)
-
-
-def _check_g(g) -> Fraction:
-    g = Fraction(g)
-    if g in (0, 1, -1):
-        raise ValueError("g must avoid -1, 0, 1")
-    return g
 
 
 def _orders(g: Fraction, x, m=1 << _BITS):
@@ -389,7 +383,7 @@ def count_residues(g: Fraction | int, d: int, x: int) -> CountTable:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    g = _check_g(g)
+    g = check_g(g)
     counts, excluded = _count(g, x, 1, d)
     return CountTable(g, x, {a: c for (_, a), c in counts.items()}, sum(counts.values()), excluded)
 
@@ -402,7 +396,7 @@ def count_joint(g: Fraction | int, d1: int, d2: int, x: int) -> CountTable:
     """
     if d1 < 1 or d2 < 1:
         raise ValueError("moduli must be positive")
-    g = _check_g(g)
+    g = check_g(g)
     counts, excluded = _count(g, x, d1, d2)
     return CountTable(g, x, counts, sum(counts.values()), excluded)
 

@@ -4,7 +4,7 @@ sieve_primes finds the primes in a window [lo, hi]; primes_upto joins its
 windows of _WINDOW numbers over [2, limit] and caches the primes for the
 Euler products (characters), the base primes of the p - 1 factor sieve
 (empirical) and the crossing-off primes of tables, the phi and mu arrays
-of the Kummer series (density).  tables crosses off only the primes up to
+of the Kummer series (series).  tables crosses off only the primes up to
 sqrt(limit); every v then has at most one prime factor left, which
 whole-array operations take out of phi and mu.  Both caches grow to the
 largest limit asked for and are never trimmed, so a smaller request is a

@@ -42,11 +42,59 @@ def test_factorize_semiprime_of_large_primes():
 
 
 def test_factorize_splits_above_the_trial_cap():
-    # every factor lies above the 2**20 trial-division cap, so Pollard rho splits these
+    # every factor lies far above the trial-division bases (primes up to 41),
+    # so Pollard rho splits these
     m31, p32 = 2**31 - 1, 2**32 - 5
     assert factorize(1_048_583 * 1_048_589).pairs == ((1_048_583, 1), (1_048_589, 1))
     assert factorize(m31 * m31).pairs == ((m31, 2),)
     assert factorize(m31 * p32).pairs == ((m31, 1), (p32, 1))
+
+
+def _trial_division_pairs(n):
+    pairs, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 20_001):
+        assert factorize(n).pairs == _trial_division_pairs(n), n
+
+
+def test_factorize_just_above_the_bases():
+    # the smallest primes that trial division by the bases (up to 41) leaves
+    # to is_prime and Pollard rho, alone, in powers and in products
+    cases = {
+        43**2: ((43, 2),),
+        43**3: ((43, 3),),
+        43 * 47 * 53: ((43, 1), (47, 1), (53, 1)),
+        37**2 * 41: ((37, 2), (41, 1)),
+        1009 * 10007: ((1009, 1), (10007, 1)),
+    }
+    for n, pairs in cases.items():
+        assert factorize(n).pairs == pairs, n
+        assert all(is_prime(p) for p, _ in pairs)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(5000) if is_prime(n)] == [
+        n for n in range(2, 5000) if _trial_division_pairs(n) == ((n, 1),)
+    ]
+
+
+def test_is_prime_refuses_psi12():
+    # 399165290221 * 798330580441, the smallest strong pseudoprime to every
+    # prime base up to 37; base 41 exposes it
+    assert is_prime(318665857834031151167461) is False
 
 
 def test_factorize_range_errors():

@@ -180,22 +180,17 @@ def test_a_chi_sums_built_once_per_modulus(monkeypatch):
     # the modulus-free sum of w_0 is one pass per cutoff, shared by every
     # modulus and by Artin's constant; the per-class prime sums are one pass
     # per (modulus, cutoff), whatever the number of characters.  Each pass
-    # is named by the largest prime it sums over.
+    # reads _series_primes once, named here by the largest prime it returns.
     _clear_euler_caches()
-    generic, classes = [], []
-    build_generic = ordense.characters._generic_sum
-    build_classes = ordense.characters._sum_by_class
+    tops_read = []
+    series_primes = ordense.characters._series_primes
 
-    def counting_generic(primes):
-        generic.append(int(primes[-1]))
-        return build_generic(primes)
+    def counting_series_primes(prime_cutoff):
+        primes = series_primes(prime_cutoff)
+        tops_read.append(int(primes[-1]))
+        return primes
 
-    def counting_classes(primes, modulus):
-        classes.append((modulus, int(primes[-1])))
-        return build_classes(primes, modulus)
-
-    monkeypatch.setattr(ordense.characters, "_generic_sum", counting_generic)
-    monkeypatch.setattr(ordense.characters, "_sum_by_class", counting_classes)
+    monkeypatch.setattr(ordense.characters, "_series_primes", counting_series_primes)
     cutoffs = (10**5, 3 * 10**5, 10**6)
     artin_constant(cutoffs[1])
     for cutoff in cutoffs:
@@ -203,14 +198,18 @@ def test_a_chi_sums_built_once_per_modulus(monkeypatch):
             for chi in character_group(q):
                 a_chi(chi, cutoff)
         artin_constant(cutoff)
-    tops = [int(primes_upto(cutoff)[-1]) for cutoff in cutoffs]
-    assert generic == [tops[1], tops[0], tops[2]]
-    assert classes == [(q, top) for top in tops for q in (3, 5, 1009)]
+    t0, t1, t2 = (int(primes_upto(cutoff)[-1]) for cutoff in cutoffs)
+    # Artin's generic sum at t1; then per cutoff the generic sum (a miss only
+    # at t0 and t2) and the class sums of q = 3, 5, 1009
+    assert tops_read == [t1, t0, t0, t0, t0, t1, t1, t1, t2, t2, t2, t2]
+    assert ordense.characters._generic_log.cache_info().misses == 3
+    assert ordense.characters._class_sums.cache_info().misses == 9
 
 
-def _sum_by_class_int_residue(primes, modulus):
-    """_sum_by_class with the residue taken as int64 p % modulus."""
+def _class_sums_int_residue(modulus, prime_cutoff):
+    """_class_sums with the residue taken as int64 p % modulus."""
     chars = ordense.characters
+    primes = chars._series_primes(prime_cutoff)
     sums = np.zeros((2, modulus))
     squares = int(np.searchsorted(primes, chars._SQUARES_UPTO, side="right"))
     for i in range(0, len(primes), chars._CHUNK):
@@ -229,10 +228,9 @@ def _sum_by_class_int_residue(primes, modulus):
 
 def test_class_sums_float_residue_bit_identical():
     # the residue p - floor(p / modulus) * modulus is exact in float64
-    primes = ordense.characters._series_primes(10**6)
     for modulus in (3, 5, 7, 9, 11, 25, 101, 4001):
-        got = ordense.characters._sum_by_class(primes, modulus)
-        want = _sum_by_class_int_residue(primes, modulus)
+        got = ordense.characters._class_sums(modulus, 10**6)
+        want = _class_sums_int_residue(modulus, 10**6)
         assert got.tobytes() == want.tobytes(), modulus
 
 

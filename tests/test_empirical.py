@@ -13,6 +13,7 @@ import ordense.cli as cli
 import ordense.empirical as emp
 import ordense.sieve as sieve
 from ordense.arith import factorize, is_prime, squarefree_kernel
+from ordense.decomp import decompose
 from ordense.empirical import (
     OrderRecord,
     census_exceptional,
@@ -326,6 +327,20 @@ def test_g_validation():
         count_residues(-1, 3, 100)
     with pytest.raises(ValueError):
         count_joint(1, 3, 3, 100)
+
+
+def test_g_refusal_reads_the_same_everywhere():
+    # decompose and the counts refuse g through one check; sieve_orders is a
+    # generator, so it refuses on its first next
+    refusals = {
+        "1": lambda: decompose(1),
+        "-1": lambda: next(sieve_orders(-1, 100)),
+        "0": lambda: count_joint(0, 3, 3, 100),
+    }
+    for g, refuse in refusals.items():
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == f"g must avoid -1, 0, 1; got {g}"
 
 
 def test_invalid_input_rejected_before_sieving(monkeypatch):
